@@ -9,7 +9,8 @@ from .arith import (
     interpolate,
     poly_range_sum,
 )
-from .maximal_minors import GenericParams, LengthClassification
+from .family import LengthClassification
+from .maximal_minors import GenericParams
 from .multiplicities import (
     ConsistencyError,
     Family,

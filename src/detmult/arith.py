@@ -17,6 +17,7 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 __all__ = [
+    "ConsistencyError",
     "RationalPolynomial",
     "bernoulli",
     "factorial",
@@ -24,6 +25,15 @@ __all__ = [
     "interpolate",
     "poly_range_sum",
 ]
+
+
+class ConsistencyError(RuntimeError):
+    """An exact computation produced a value that its own invariants rule out.
+
+    Raised when an interpolated slice polynomial fails its held-out
+    validation or a quotient that must be an integer is not one.  It signals
+    a bug upstream; the wrong value is never returned silently.
+    """
 
 
 @cache

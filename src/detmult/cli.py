@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from typing import Any
 
-from . import maximal_minors, pfaffians, verify
+from . import verify
 from .multiplicities import ConsistencyError, Family, build_report
 from .schur import weyl_dimension
 
@@ -86,29 +86,6 @@ def _family_from_args(args: argparse.Namespace, require_rectangular: bool) -> Fa
         raise UsageError(str(exc)) from None
 
 
-def _family_parameters(family: Family) -> dict[str, str]:
-    params = {"family": family.kind}
-    if family.kind == "generic-maximal-minors":
-        params["m"] = str(family.params.m)
-        params["n"] = str(family.params.n)
-    else:
-        params["n"] = str(family.params.n)
-    return params
-
-
-def _classifications(family: Family, d: int) -> list[dict[str, str]]:
-    if family.kind == "generic-maximal-minors":
-        degrees = maximal_minors.nonvanishing_degrees(family.params, d)
-        classify = maximal_minors.length_classification
-    else:
-        degrees = pfaffians.nonvanishing_degrees(family.params, d)
-        classify = pfaffians.length_classification
-    return [
-        {"degree": str(j), "classification": classify(family.params, j, d).value}
-        for j in sorted(degrees)
-    ]
-
-
 # ------------------------------------------------------------------ handlers
 
 
@@ -145,7 +122,7 @@ def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, in
         power = args.D
         length = family.cumulative_length(power, jobs)
         mode = "cumulative"
-    parameters = _family_parameters(family)
+    parameters = family.parameters
     parameters["mode"] = mode
     parameters["power"] = str(power)
     results = {
@@ -154,7 +131,10 @@ def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, in
         "length": _fmt(length),
         "finite_ext_degree": _fmt(family.finite_ext_degree),
         "local_cohomology_degree": _fmt(family.finite_cohomology_degree),
-        "classifications": _classifications(family, power),
+        "classifications": [
+            {"degree": str(j), "classification": family.length_classification(j, power).value}
+            for j in sorted(family.nonvanishing_degrees(power))
+        ],
     }
     return parameters, results, 0
 
@@ -173,7 +153,7 @@ def _cmd_multiplicity(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, 
         "oracles": {name: _fmt(value) for name, value in sorted(report.oracles.items())},
         "all_agree": report.all_agree,
     }
-    return _family_parameters(family), results, 0
+    return family.parameters, results, 0
 
 
 def _cmd_verify(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
@@ -215,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
             s = family.slice_length(d, jobs)
             running += s
             rows.append({"d": str(d), "slice_length": str(s), "cumulative_length": str(running)})
-    parameters = _family_parameters(family)
+    parameters = family.parameters
     parameters["d_from"] = str(args.d_from)
     parameters["d_to"] = str(args.d_to)
     return parameters, {"rows": rows}, 0

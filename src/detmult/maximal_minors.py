@@ -17,10 +17,10 @@ the square-matrix Catalan values.
 
 from __future__ import annotations
 
-import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .family import Family, LengthClassification
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
 
@@ -40,11 +40,13 @@ _PARALLEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
-class GenericParams:
+class GenericParams(Family):
     """Size of the generic matrix: m rows, n columns, m >= n >= 1."""
 
     m: int
     n: int
+
+    kind = "generic-maximal-minors"
 
     def __post_init__(self) -> None:
         if not self.m >= self.n >= 1:
@@ -60,20 +62,37 @@ class GenericParams:
         return self.n * (self.m - self.n) + 1
 
     @property
-    def finite_cohomology_degree(self) -> int:
-        """Local-cohomology counterpart of finite_ext_degree: n^2 - 1."""
-        return self.ring_dimension - self.finite_ext_degree
-
-    @property
     def first_finite_power(self) -> int:
-        """Smallest d with a nonzero finite-length slice."""
         return self.n
 
+    @property
+    def label(self) -> str:
+        return f"{self.kind}(m={self.m}, n={self.n})"
 
-class LengthClassification(enum.Enum):
-    ZERO = "zero"
-    FINITE_NONZERO = "finite-nonzero"
-    INFINITE = "infinite"
+    @property
+    def parameters(self) -> dict[str, str]:
+        return {"family": self.kind, "m": str(self.m), "n": str(self.n)}
+
+    def slice_length(self, d: int, jobs: int | None = None) -> int:
+        return slice_length(self, d, jobs)  # the module attribute, resolved per call
+
+    def nonvanishing_degrees(self, d: int) -> frozenset[int]:
+        """Cohomological degrees j with a nonzero Ext module for the d-th power.
+
+        Derived from first principles: each feasible pair (c, s) with
+        0 <= c <= d-1, 0 <= s <= n-1 contributes j = n(m-n) + 1 - s(m-n).
+        Every emitted j satisfies (m-n) | (1-j) and 2 <= j <= n(m-n)+1.
+        """
+        _require_rectangular(self)
+        if d < 1:
+            raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
+        m, n = self.m, self.n
+        out = set()
+        for c in range(d):
+            for s in range(n):
+                if _weight_chain_feasible(m, n, c, s):
+                    out.add(self.finite_ext_degree - s * (m - n))
+        return frozenset(out)
 
 
 def _require_rectangular(params: GenericParams) -> None:
@@ -89,43 +108,6 @@ def _weight_chain_feasible(m: int, n: int, c: int, s: int) -> bool:
         return False  # floor above the ceiling; impossible (never for m >= n)
     # the fixed last entry must fit under the ceiling acting at position s+1
     return n - 1 - c - m <= s - m
-
-
-def nonvanishing_degrees(params: GenericParams, d: int) -> frozenset[int]:
-    """Cohomological degrees j with a nonzero Ext module for the d-th power.
-
-    Derived from first principles: each feasible pair (c, s) with
-    0 <= c <= d-1, 0 <= s <= n-1 contributes j = n(m-n) + 1 - s(m-n).
-    Every emitted j satisfies (m-n) | (1-j) and 2 <= j <= n(m-n)+1.
-    """
-    _require_rectangular(params)
-    if d < 1:
-        raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
-    m, n = params.m, params.n
-    out = set()
-    for c in range(d):
-        for s in range(n):
-            if _weight_chain_feasible(m, n, c, s):
-                out.add(params.finite_ext_degree - s * (m - n))
-    return frozenset(out)
-
-
-def length_classification(params: GenericParams, j: int, d: int) -> LengthClassification:
-    """Trichotomy for the length of the Ext module in degree j at power d."""
-    if j not in nonvanishing_degrees(params, d):
-        return LengthClassification.ZERO
-    if j == params.finite_ext_degree and d >= params.n:
-        return LengthClassification.FINITE_NONZERO
-    return LengthClassification.INFINITE
-
-
-def local_cohomology_index(params: GenericParams, j_ext: int) -> int:
-    """Graded local duality swaps Ext degree j for mn - j, preserving lengths."""
-    if not 0 <= j_ext <= params.ring_dimension:
-        raise ValueError(
-            f"Ext degree must lie in [0, {params.ring_dimension}], got {j_ext}"
-        )
-    return params.ring_dimension - j_ext
 
 
 def _slice_term(m: int, n: int, d: int, eps: tuple[int, ...]) -> int:
@@ -164,12 +146,8 @@ def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     return sum(map(_slice_block, blocks))
 
 
-def cumulative_length(params: GenericParams, D: int, jobs: int | None = None) -> int:
-    """Length of the finite Ext module of the full thickening at power D.
-
-    Telescopes over the slices: sum of slice_length(d) for d = n..D, which is
-    also the length of local cohomology in degree n^2 - 1.
-    """
-    if D < 1:
-        raise ValueError(f"cumulative_length requires D >= 1, got {D}")
-    return sum(slice_length(params, d, jobs) for d in range(params.n, D + 1))
+# Module-level spellings of the members, taking the params as first argument.
+cumulative_length = GenericParams.cumulative_length
+length_classification = GenericParams.length_classification
+local_cohomology_index = GenericParams.local_cohomology_index
+nonvanishing_degrees = GenericParams.nonvanishing_degrees

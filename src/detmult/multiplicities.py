@@ -25,19 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from . import maximal_minors, pfaffians
-from .arith import RationalPolynomial, factorial, interpolate, poly_range_sum
+from .arith import ConsistencyError, RationalPolynomial, factorial, interpolate, poly_range_sum
+from .family import Family
 from .maximal_minors import GenericParams
-from .pfaffians import PfaffianParams
 
 __all__ = [
     "ConsistencyError",
     "Family",
-    "GENERIC",
     "MultiplicityReport",
-    "PFAFFIAN",
     "build_report",
     "closed_form_generic",
     "closed_form_pfaffian",
@@ -53,74 +49,12 @@ __all__ = [
     "standard_tableaux_rectangle",
 ]
 
-GENERIC = "generic-maximal-minors"
-PFAFFIAN = "sub-maximal-pfaffians"
 
-
-class ConsistencyError(RuntimeError):
-    """An interpolated slice polynomial failed its held-out validation.
-
-    This signals an enumeration bug somewhere upstream; the polynomial is
-    never returned silently.
-    """
-
-
-@dataclass(frozen=True)
-class Family:
-    """One of the two thickening families, with its parameters."""
-
-    kind: str
-    params: Union[GenericParams, PfaffianParams]
-
-    def __post_init__(self) -> None:
-        if self.kind == GENERIC:
-            if not isinstance(self.params, GenericParams):
-                raise ValueError("generic family requires GenericParams")
-        elif self.kind == PFAFFIAN:
-            if not isinstance(self.params, PfaffianParams):
-                raise ValueError("pfaffian family requires PfaffianParams")
-        else:
-            raise ValueError(f"unknown family kind: {self.kind}")
-
-    @classmethod
-    def generic(cls, m: int, n: int) -> "Family":
-        return cls(GENERIC, GenericParams(m, n))
-
-    @classmethod
-    def pfaffian(cls, n: int) -> "Family":
-        return cls(PFAFFIAN, PfaffianParams(n))
-
-    @property
-    def ring_dimension(self) -> int:
-        return self.params.ring_dimension
-
-    @property
-    def first_finite_power(self) -> int:
-        return self.params.first_finite_power
-
-    @property
-    def finite_ext_degree(self) -> int:
-        return self.params.finite_ext_degree
-
-    @property
-    def finite_cohomology_degree(self) -> int:
-        return self.params.finite_cohomology_degree
-
-    @property
-    def label(self) -> str:
-        if self.kind == GENERIC:
-            return f"generic-maximal-minors(m={self.params.m}, n={self.params.n})"
-        return f"sub-maximal-pfaffians(n={self.params.n})"
-
-    def slice_length(self, d: int, jobs: int | None = None) -> int:
-        if self.kind == GENERIC:
-            return maximal_minors.slice_length(self.params, d, jobs)
-        return pfaffians.slice_length(self.params, d, jobs)
-
-    def cumulative_length(self, D: int, jobs: int | None = None) -> int:
-        if self.kind == GENERIC:
-            return maximal_minors.cumulative_length(self.params, D, jobs)
-        return pfaffians.cumulative_length(self.params, D, jobs)
+def _integer(value: Fraction, what: str) -> int:
+    """The numerator of an integral value; a fractional one is a bug, never a result."""
+    if value.denominator != 1:
+        raise ConsistencyError(f"{what} is not an integer: {value}")
+    return value.numerator
 
 
 def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynomial:
@@ -151,8 +85,7 @@ def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynom
 
 def j_multiplicity(family: Family, jobs: int | None = None) -> Fraction:
     """(k-1)! times the leading coefficient of the slice polynomial."""
-    k = family.ring_dimension
-    return factorial(k - 1) * slice_polynomial(family, jobs).leading_coefficient
+    return build_report(family, jobs).j_multiplicity
 
 
 def epsilon_multiplicity(family: Family, jobs: int | None = None) -> Fraction:
@@ -161,9 +94,7 @@ def epsilon_multiplicity(family: Family, jobs: int | None = None) -> Fraction:
     Equals j_multiplicity exactly: summation divides the leading coefficient
     by k while the normalization multiplies by k.
     """
-    k = family.ring_dimension
-    total = poly_range_sum(slice_polynomial(family, jobs), family.first_finite_power)
-    return factorial(k) * total.leading_coefficient
+    return build_report(family, jobs).epsilon_multiplicity
 
 
 def closed_form_generic(m: int, n: int) -> int:
@@ -173,8 +104,7 @@ def closed_form_generic(m: int, n: int) -> int:
     value = Fraction(factorial(m * n))
     for i in range(n):
         value *= Fraction(factorial(i), factorial(m + i))
-    assert value.denominator == 1
-    return value.numerator
+    return _integer(value, f"closed_form_generic({m}, {n})")
 
 
 def grassmannian_degree(a: int, b: int) -> int:
@@ -188,8 +118,7 @@ def grassmannian_degree(a: int, b: int) -> int:
     value = Fraction(factorial(a * (b - a)))
     for i in range(a):
         value *= Fraction(factorial(i), factorial(b - a + i))
-    assert value.denominator == 1
-    return value.numerator
+    return _integer(value, f"grassmannian_degree({a}, {b})")
 
 
 def closed_form_pfaffian(n: int) -> int:
@@ -199,8 +128,7 @@ def closed_form_pfaffian(n: int) -> int:
     value = Fraction(factorial(2 * n * n + n))
     for i in range(n):
         value *= Fraction(factorial(2 * i), factorial(2 * n + 1 + 2 * i))
-    assert value.denominator == 1
-    return value.numerator
+    return _integer(value, f"closed_form_pfaffian({n})")
 
 
 def orthogonal_grassmannian_degree(a: int) -> int:
@@ -218,8 +146,7 @@ def orthogonal_grassmannian_degree(a: int) -> int:
     for i in range(1, 2 * a, 2):
         den *= factorial(i)
     value = Fraction(factorial(a * (a + 1) // 2) * num, den)
-    assert value.denominator == 1
-    return value.numerator
+    return _integer(value, f"orthogonal_grassmannian_degree({a})")
 
 
 def standard_tableaux_rectangle(m: int, n: int) -> int:
@@ -235,9 +162,8 @@ def standard_tableaux_rectangle(m: int, n: int) -> int:
     for i in range(m):
         for j in range(n):
             hooks *= (n - j) + (m - i) - 1
-    q, r = divmod(factorial(m * n), hooks)
-    assert r == 0
-    return q
+    value = Fraction(factorial(m * n), hooks)
+    return _integer(value, f"standard_tableaux_rectangle({m}, {n})")
 
 
 def shifted_tableaux_staircase(a: int) -> int:
@@ -256,8 +182,7 @@ def shifted_tableaux_staircase(a: int) -> int:
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             value *= Fraction(parts[i] - parts[j], parts[i] + parts[j])
-    assert value.denominator == 1
-    return value.numerator
+    return _integer(value, f"shifted_tableaux_staircase({a})")
 
 
 def selberg_integral(n: int, a: int, b: int, c: int) -> Fraction:
@@ -343,8 +268,8 @@ def build_report(family: Family, jobs: int | None = None) -> MultiplicityReport:
     k = family.ring_dimension
     j_mult = factorial(k - 1) * poly.leading_coefficient
     eps_mult = factorial(k) * poly_range_sum(poly, family.first_finite_power).leading_coefficient
-    if family.kind == GENERIC:
-        m, n = family.params.m, family.params.n
+    if isinstance(family, GenericParams):
+        m, n = family.m, family.n
         oracles = {
             "closed_form": Fraction(closed_form_generic(m, n)),
             "grassmannian_degree": Fraction(grassmannian_degree(n, m + n)),
@@ -352,7 +277,7 @@ def build_report(family: Family, jobs: int | None = None) -> MultiplicityReport:
             "selberg_integral": integral_formula_generic(m, n),
         }
     else:
-        n = family.params.n
+        n = family.n
         oracles = {
             "closed_form": Fraction(closed_form_pfaffian(n)),
             "orthogonal_grassmannian_degree": Fraction(orthogonal_grassmannian_degree(2 * n)),

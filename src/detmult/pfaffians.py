@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .maximal_minors import LengthClassification
+from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
 
@@ -37,10 +37,12 @@ _PARALLEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
-class PfaffianParams:
+class PfaffianParams(Family):
     """Half-size parameter n >= 1; the skew-symmetric matrix is (2n+1) x (2n+1)."""
 
     n: int
+
+    kind = "sub-maximal-pfaffians"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -59,48 +61,36 @@ class PfaffianParams:
         return 2 * self.n + 1
 
     @property
-    def finite_cohomology_degree(self) -> int:
-        return self.ring_dimension - self.finite_ext_degree
-
-    @property
     def first_finite_power(self) -> int:
         return 2 * self.n - 1
 
+    @property
+    def label(self) -> str:
+        return f"{self.kind}(n={self.n})"
 
-def nonvanishing_degrees(params: PfaffianParams, d: int) -> frozenset[int]:
-    """Cohomological degrees with nonzero Ext for the d-th pfaffian power.
+    @property
+    def parameters(self) -> dict[str, str]:
+        return {"family": self.kind, "n": str(self.n)}
 
-    For each c in 0..d-1 the feasible values of the third tableau bound t
-    run over max(0, ceil(n - 1 - c/2)) .. n-1, contributing j = 2(n-t) + 1;
-    every degree is odd and lies in [3, 2n+1].
-    """
-    if d < 1:
-        raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
-    n = params.n
-    out = set()
-    for c in range(d):
-        lo = max(0, -((c - 2 * (n - 1)) // 2))  # ceil((2(n-1) - c) / 2)
-        for t in range(lo, n):
-            out.add(2 * (n - t) + 1)
-    return frozenset(out)
+    def slice_length(self, d: int, jobs: int | None = None) -> int:
+        return slice_length(self, d, jobs)  # the module attribute, resolved per call
 
+    def nonvanishing_degrees(self, d: int) -> frozenset[int]:
+        """Cohomological degrees with nonzero Ext for the d-th pfaffian power.
 
-def length_classification(params: PfaffianParams, j: int, d: int) -> LengthClassification:
-    """Trichotomy for the length of the Ext module in degree j at power d."""
-    if j not in nonvanishing_degrees(params, d):
-        return LengthClassification.ZERO
-    if j == params.finite_ext_degree and d >= params.first_finite_power:
-        return LengthClassification.FINITE_NONZERO
-    return LengthClassification.INFINITE
-
-
-def local_cohomology_index(params: PfaffianParams, j_ext: int) -> int:
-    """Local duality at ring dimension 2n^2 + n: j goes to 2n^2 + n - j."""
-    if not 0 <= j_ext <= params.ring_dimension:
-        raise ValueError(
-            f"Ext degree must lie in [0, {params.ring_dimension}], got {j_ext}"
-        )
-    return params.ring_dimension - j_ext
+        For each c in 0..d-1 the feasible values of the third tableau bound t
+        run over max(0, ceil(n - 1 - c/2)) .. n-1, contributing j = 2(n-t) + 1;
+        every degree is odd and lies in [3, 2n+1].
+        """
+        if d < 1:
+            raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
+        n = self.n
+        out = set()
+        for c in range(d):
+            lo = max(0, -((c - 2 * (n - 1)) // 2))  # ceil((2(n-1) - c) / 2)
+            for t in range(lo, n):
+                out.add(2 * (n - t) + 1)
+        return frozenset(out)
 
 
 def slice_weight(params: PfaffianParams, d: int, epsilon: Sequence[int]) -> tuple[int, ...]:
@@ -154,8 +144,8 @@ def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int
     return sum(map(_slice_block, blocks))
 
 
-def cumulative_length(params: PfaffianParams, D: int, jobs: int | None = None) -> int:
-    """Length of the finite Ext module of the full thickening at power D."""
-    if D < 1:
-        raise ValueError(f"cumulative_length requires D >= 1, got {D}")
-    return sum(slice_length(params, d, jobs) for d in range(params.first_finite_power, D + 1))
+# Module-level spellings of the members, taking the params as first argument.
+cumulative_length = PfaffianParams.cumulative_length
+length_classification = PfaffianParams.length_classification
+local_cohomology_index = PfaffianParams.local_cohomology_index
+nonvanishing_degrees = PfaffianParams.nonvanishing_degrees

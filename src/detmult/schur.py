@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .arith import ConsistencyError
+
 __all__ = ["embed_weight", "shift", "weyl_dimension"]
 
 
@@ -45,7 +47,8 @@ def weyl_dimension(weight: Sequence[int], n: int | None = None) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0, "Weyl product division is always exact"
+    if r:
+        raise ConsistencyError(f"Weyl product {num}/{den} is not an integer at {w}")
     return q
 
 

@@ -1,9 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import detmult.maximal_minors
 import detmult.multiplicities
 from detmult.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args):
+    """Run a child interpreter that imports detmult from this checkout's src."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +141,20 @@ def test_multiplicity_internal_error_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "multiplicity", "--generic", "-m", "3", "-n", "2")
     assert code == 3
     assert "consistency" in err
+
+
+def test_non_integral_oracle_exits_3_under_optimize():
+    # assert statements vanish under -O; the integrality check must not
+    script = (
+        "import math, sys\n"
+        "import detmult.multiplicities as mu\n"
+        "from detmult.cli import main\n"
+        "mu.factorial = lambda k: math.factorial(k) + (k == 6)  # 6! feeds closed_form_generic(3, 2)\n"
+        "sys.exit(main(['multiplicity', '--generic', '-m', '3', '-n', '2', '--no-timing']))\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "closed_form_generic(3, 2) is not an integer" in proc.stderr
 
 
 def test_determinism(capsys):
@@ -290,14 +317,7 @@ def test_pfaffian_rejects_m_flag(capsys):
 
 
 def test_module_entry_point_subprocess():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "detmult.cli", "multiplicity", "--pfaffian", "-n", "1", "--no-timing"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "detmult.cli", "multiplicity", "--pfaffian", "-n", "1", "--no-timing")
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["results"]["j_multiplicity"] == "1"

@@ -5,6 +5,7 @@ import pytest
 
 import detmult.maximal_minors
 from detmult.arith import RationalPolynomial, factorial, poly_range_sum
+from detmult.maximal_minors import GenericParams
 from detmult.multiplicities import (
     ConsistencyError,
     Family,
@@ -22,6 +23,7 @@ from detmult.multiplicities import (
     slice_polynomial,
     standard_tableaux_rectangle,
 )
+from detmult.pfaffians import PfaffianParams
 from oracles import count_shifted_syt, count_syt, selberg_dim1_beta, selberg_dim2_beta
 
 
@@ -33,10 +35,9 @@ def test_family_construction():
     pf = Family.pfaffian(2)
     assert pf.ring_dimension == 10
     assert pf.first_finite_power == 3
+    assert isinstance(family, GenericParams) and isinstance(pf, PfaffianParams)
     with pytest.raises(ValueError):
         Family.generic(2, 3)
-    with pytest.raises(ValueError):
-        Family("no-such-family", None)
 
 
 def test_closed_form_generic_values():
