@@ -103,10 +103,11 @@ def _require_rectangular(params: GenericParams) -> None:
 def _weight_chain_feasible(m: int, n: int, c: int, s: int) -> bool:
     """Existence of a weakly decreasing integer weight chain of length n with
     last entry fixed at n-1-c-m, entry s bounded below by s-n (when s >= 1)
-    and entry s+1 bounded above by s-m (when s < n)."""
-    if s >= 1 and s - n < s - m:
-        return False  # floor above the ceiling; impossible (never for m >= n)
-    # the fixed last entry must fit under the ceiling acting at position s+1
+    and entry s+1 bounded above by s-m (when s < n).
+
+    Since m >= n, the floor s-n never lies above the ceiling s-m, so the chain
+    exists exactly when the fixed last entry fits under that ceiling.
+    """
     return n - 1 - c - m <= s - m
 
 

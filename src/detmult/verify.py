@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb
+from typing import Callable, Iterator
 
-from . import arith, maximal_minors, multiplicities, partitions, pfaffians, schur
-from .maximal_minors import GenericParams, LengthClassification
-from .multiplicities import Family
-from .pfaffians import PfaffianParams
+from . import arith, multiplicities, partitions, pfaffians, schur
+from .family import Family, LengthClassification
 
 __all__ = ["CheckResult", "count_semistandard_tableaux", "run_checks"]
 
@@ -37,9 +36,14 @@ class _Suite:
     def record(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail if not passed else ""))
 
-    def compare(self, name: str, expected: object, actual: object, context: str = "") -> None:
-        where = f" at {context}" if context else ""
-        self.record(name, expected == actual, f"expected {expected}, got {actual}{where}")
+    def run(self, name: str, failures: Iterator[str]) -> None:
+        """Record the first detail the check body yields, or a pass if it yields none.
+
+        Check bodies are generators, so nothing after the first disagreement
+        is computed.
+        """
+        detail = next(failures, None)
+        self.record(name, detail is None, detail or "")
 
 
 def count_semistandard_tableaux(shape: tuple[int, ...], n: int) -> int:
@@ -74,19 +78,16 @@ def _partitions_up_to(max_size: int, max_parts: int):
 
 
 def _check_arith(suite: _Suite, quick: bool) -> None:
-    ok = True
-    detail = ""
-    for p in range(0, 9):
-        poly = arith.faulhaber_polynomial(p)
-        acc = 0
-        for b in range(1, 51):
-            acc += b**p
-            if poly(b) != acc:
-                ok, detail = False, f"expected {acc}, got {poly(b)} at p={p}, b={b}"
-                break
-        if not ok:
-            break
-    suite.record("faulhaber-vs-direct-sum", ok, detail)
+    def faulhaber():
+        for p in range(0, 9):
+            poly = arith.faulhaber_polynomial(p)
+            acc = 0
+            for b in range(1, 51):
+                acc += b**p
+                if poly(b) != acc:
+                    yield f"expected {acc}, got {poly(b)} at p={p}, b={b}"
+
+    suite.run("faulhaber-vs-direct-sum", faulhaber())
 
     bad = [k for k in range(3, 21, 2) if arith.bernoulli(k) != 0]
     suite.record("bernoulli-odd-vanishing", not bad, f"nonzero at k={bad}")
@@ -95,315 +96,272 @@ def _check_arith(suite: _Suite, quick: bool) -> None:
     mism = {k: arith.bernoulli(k) for k in hand if arith.bernoulli(k) != hand[k]}
     suite.record("bernoulli-small-values", not mism, f"expected {hand}, got {mism}")
 
+    # both sampled checks draw from this one generator, in this order
     rng = random.Random(20240501)
-    ok = True
-    detail = ""
-    for trial in range(10 if quick else 25):
-        degree = rng.randrange(0, 11)
-        coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(degree + 1)]
-        coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else Fraction(1)
-        poly = arith.RationalPolynomial(coeffs)
-        back = arith.interpolate([(x, poly(x)) for x in range(poly.degree + 1)])
-        if back != poly:
-            ok, detail = False, f"expected {poly}, got {back}"
-            break
-    suite.record("interpolation-roundtrip", ok, detail)
 
-    ok = True
-    detail = ""
-    for trial in range(10 if quick else 20):
-        degree = rng.randrange(0, 7)
-        poly = arith.RationalPolynomial(
-            [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(degree + 1)]
-        )
-        a = rng.randrange(-5, 6)
-        summed = arith.poly_range_sum(poly, a)
-        for b in range(a, a + 12):
-            direct = sum(poly(k) for k in range(a, b + 1))
-            if summed(b) != direct:
-                ok, detail = False, f"expected {direct}, got {summed(b)} at a={a}, b={b}"
-                break
-        if not ok:
-            break
-        if poly:
-            want = poly.leading_coefficient / (poly.degree + 1)
-            if summed.leading_coefficient != want:
-                ok, detail = False, f"expected lead {want}, got {summed.leading_coefficient}"
-                break
-    suite.record("range-sum-identity", ok, detail)
+    def roundtrip():
+        for _ in range(10 if quick else 25):
+            degree = rng.randrange(0, 11)
+            coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(degree + 1)]
+            coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else Fraction(1)
+            poly = arith.RationalPolynomial(coeffs)
+            back = arith.interpolate([(x, poly(x)) for x in range(poly.degree + 1)])
+            if back != poly:
+                yield f"expected {poly}, got {back}"
+
+    suite.run("interpolation-roundtrip", roundtrip())
+
+    def range_sums():
+        for _ in range(10 if quick else 20):
+            degree = rng.randrange(0, 7)
+            poly = arith.RationalPolynomial(
+                [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(degree + 1)]
+            )
+            a = rng.randrange(-5, 6)
+            summed = arith.poly_range_sum(poly, a)
+            for b in range(a, a + 12):
+                direct = sum(poly(k) for k in range(a, b + 1))
+                if summed(b) != direct:
+                    yield f"expected {direct}, got {summed(b)} at a={a}, b={b}"
+            if poly:
+                want = poly.leading_coefficient / (poly.degree + 1)
+                if summed.leading_coefficient != want:
+                    yield f"expected lead {want}, got {summed.leading_coefficient}"
+
+    suite.run("range-sum-identity", range_sums())
 
 
 # ---------------------------------------------------------------- partitions
 
 
 def _check_partitions(suite: _Suite, quick: bool) -> None:
-    ok = True
-    detail = ""
-    for lam in _partitions_up_to(8, 6):
-        back = partitions.conjugate(partitions.conjugate(lam))
-        if back != lam:
-            ok, detail = False, f"expected {lam}, got {back}"
-            break
-    suite.record("conjugate-involution", ok, detail)
+    def involution():
+        for lam in _partitions_up_to(8, 6):
+            back = partitions.conjugate(partitions.conjugate(lam))
+            if back != lam:
+                yield f"expected {lam}, got {back}"
 
-    ok = True
-    detail = ""
-    for lam in _partitions_up_to(7, 5):
-        for c in range(0, 6):
-            t = partitions.truncate(lam, c)
-            if not partitions.contained_in(t, lam) or any(p > c for p in t):
-                ok, detail = False, f"truncate({lam}, {c}) = {t}"
-                break
-    suite.record("truncate-bounds", ok, detail)
+    suite.run("conjugate-involution", involution())
+
+    def truncation():
+        for lam in _partitions_up_to(7, 5):
+            for c in range(0, 6):
+                t = partitions.truncate(lam, c)
+                if not partitions.contained_in(t, lam) or any(p > c for p in t):
+                    yield f"truncate({lam}, {c}) = {t}"
+
+    suite.run("truncate-bounds", truncation())
 
     max_n = 2 if quick else 4
-    ok = True
-    detail = ""
-    for n in range(1, max_n + 1):
-        for p in range(1, n + 1):
-            for d in range(1, 6):
-                family = partitions.box_partitions(p * d, n, d)
-                via_def = set()
-                for level in range(n):
-                    for z1 in range(d):
-                        for rest in partitions.weakly_decreasing_tuples(n - 1, z1):
-                            z = partitions.normalize((z1,) + rest)
-                            if partitions.is_layer_index(family, z, level):
-                                via_def.add(partitions.LayerIndex(z, level))
-                via_closed = set(partitions.power_ideal_layers(n, p, d))
-                if via_def != via_closed:
-                    ok = False
-                    detail = (
-                        f"expected {sorted(via_closed)}, got {sorted(via_def)} "
-                        f"at n={n}, p={p}, d={d}"
-                    )
-                    break
-    suite.record("layer-definition-vs-closed-form", ok, detail)
 
-    ok = True
-    detail = ""
-    for n in range(1, max_n + 1):
-        for d in range(1, 7):
-            closed = set(partitions.power_ideal_layers(n, n, d))
-            direct = set(partitions.maximal_minor_layers(n, d))
-            if closed != direct:
-                ok, detail = False, f"expected {sorted(direct)}, got {sorted(closed)} at n={n}, d={d}"
-                break
-    suite.record("maximal-minor-layers-coincide", ok, detail)
+    def layer_definition():
+        for n in range(1, max_n + 1):
+            for p in range(1, n + 1):
+                for d in range(1, 6):
+                    family = partitions.box_partitions(p * d, n, d)
+                    via_def = set()
+                    for level in range(n):
+                        for z1 in range(d):
+                            for rest in partitions.weakly_decreasing_tuples(n - 1, z1):
+                                z = partitions.normalize((z1,) + rest)
+                                if partitions.is_layer_index(family, z, level):
+                                    via_def.add(partitions.LayerIndex(z, level))
+                    via_closed = set(partitions.power_ideal_layers(n, p, d))
+                    if via_def != via_closed:
+                        yield (
+                            f"expected {sorted(via_closed)}, got {sorted(via_def)} "
+                            f"at n={n}, p={p}, d={d}"
+                        )
+
+    suite.run("layer-definition-vs-closed-form", layer_definition())
+
+    def maximal_minor_layers():
+        for n in range(1, max_n + 1):
+            for d in range(1, 7):
+                closed = set(partitions.power_ideal_layers(n, n, d))
+                direct = set(partitions.maximal_minor_layers(n, d))
+                if closed != direct:
+                    yield f"expected {sorted(direct)}, got {sorted(closed)} at n={n}, d={d}"
+
+    suite.run("maximal-minor-layers-coincide", maximal_minor_layers())
 
 
 # --------------------------------------------------------------------- schur
 
 
 def _check_schur(suite: _Suite, quick: bool) -> None:
-    ok = True
-    detail = ""
-    for n in range(1, 3 if quick else 5):
-        for lam in _partitions_up_to(6, n):
-            expected = count_semistandard_tableaux(lam, n)
-            got = schur.weyl_dimension(lam, n)
-            if got != expected:
-                ok, detail = False, f"expected {expected}, got {got} at shape={lam}, n={n}"
-                break
-    suite.record("weyl-vs-semistandard-count", ok, detail)
+    def tableaux():
+        for n in range(1, 3 if quick else 5):
+            for lam in _partitions_up_to(6, n):
+                expected = count_semistandard_tableaux(lam, n)
+                got = schur.weyl_dimension(lam, n)
+                if got != expected:
+                    yield f"expected {expected}, got {got} at shape={lam}, n={n}"
 
-    rng = random.Random(20240502)
-    ok = True
-    detail = ""
-    for _ in range(40):
-        length = rng.randrange(1, 6)
-        w = tuple(sorted((rng.randrange(-6, 7) for _ in range(length)), reverse=True))
-        base = schur.weyl_dimension(w)
-        c = rng.randrange(-5, 6)
-        if schur.weyl_dimension(schur.shift(w, c)) != base:
-            ok, detail = False, f"shift by {c} changed dimension at {w}"
-            break
-        dual = tuple(-x for x in reversed(w))
-        if schur.weyl_dimension(dual) != base:
-            ok, detail = False, f"dual weight changed dimension at {w}"
-            break
-    suite.record("shift-and-duality-invariance", ok, detail)
+    suite.run("weyl-vs-semistandard-count", tableaux())
 
-    ok = True
-    detail = ""
-    for m, n in [(3, 2), (4, 2), (4, 3), (5, 3)]:
-        for d in range(n, n + 4):
-            for eps in partitions.weakly_decreasing_tuples(n - 1, d - n):
-                w = tuple(e + (n - d - m) for e in eps) + (n - d - m,)
-                block_form = schur.embed_weight(w, 0, m)
-                prefix_form = (-m,) * (m - n) + w
-                direct = (d - n,) * (m - n) + eps + (0,)
-                dims = {
-                    schur.weyl_dimension(block_form),
-                    schur.weyl_dimension(prefix_form),
-                    schur.weyl_dimension(direct),
-                }
-                if len(dims) != 1:
-                    ok, detail = False, f"presentations disagree: {dims} at m={m}, n={n}, d={d}, eps={eps}"
-                    break
-    suite.record("embedded-weight-presentations-agree", ok, detail)
+    def invariance():
+        rng = random.Random(20240502)
+        for _ in range(40):
+            length = rng.randrange(1, 6)
+            w = tuple(sorted((rng.randrange(-6, 7) for _ in range(length)), reverse=True))
+            base = schur.weyl_dimension(w)
+            c = rng.randrange(-5, 6)
+            if schur.weyl_dimension(schur.shift(w, c)) != base:
+                yield f"shift by {c} changed dimension at {w}"
+            dual = tuple(-x for x in reversed(w))
+            if schur.weyl_dimension(dual) != base:
+                yield f"dual weight changed dimension at {w}"
+
+    suite.run("shift-and-duality-invariance", invariance())
+
+    def presentations():
+        for m, n in [(3, 2), (4, 2), (4, 3), (5, 3)]:
+            for d in range(n, n + 4):
+                for eps in partitions.weakly_decreasing_tuples(n - 1, d - n):
+                    w = tuple(e + (n - d - m) for e in eps) + (n - d - m,)
+                    block_form = schur.embed_weight(w, 0, m)
+                    prefix_form = (-m,) * (m - n) + w
+                    direct = (d - n,) * (m - n) + eps + (0,)
+                    dims = {
+                        schur.weyl_dimension(block_form),
+                        schur.weyl_dimension(prefix_form),
+                        schur.weyl_dimension(direct),
+                    }
+                    if len(dims) != 1:
+                        yield f"presentations disagree: {dims} at m={m}, n={n}, d={d}, eps={eps}"
+
+    suite.run("embedded-weight-presentations-agree", presentations())
 
 
-# ---------------------------------------------------------- generic lengths
+# ------------------------------------------------------------------- lengths
+#
+# Each check below runs unchanged over either family.  Slice lengths are taken
+# through Family.slice_length, which resolves the module's slice_length at call
+# time, and never with a worker pool.
 
 
-def _check_generic_lengths(suite: _Suite, generic_max_m: int, quick: bool) -> None:
-    shapes = [
-        (m, n)
-        for n in range(1, 3 if quick else 4)
-        for m in range(n + 1, generic_max_m + 1)
-    ]
-
-    ok = True
-    detail = ""
-    for m, n in shapes:
-        params = GenericParams(m, n)
-        for d in range(2, 9):
-            lhs = maximal_minors.slice_length(params, d)
-            rhs = maximal_minors.cumulative_length(params, d) - maximal_minors.cumulative_length(
-                params, d - 1
-            )
+def _telescoping(families: list[Family], d_max: int) -> Iterator[str]:
+    for family in families:
+        for d in range(2, d_max + 1):
+            lhs = family.slice_length(d)
+            rhs = family.cumulative_length(d) - family.cumulative_length(d - 1)
             if lhs != rhs:
-                ok, detail = False, f"expected {rhs}, got {lhs} at m={m}, n={n}, d={d}"
-                break
-    suite.record("telescoping-generic", ok, detail)
-
-    ok = True
-    detail = ""
-    for m, n in shapes:
-        params = GenericParams(m, n)
-        for d in range(1, n + 4):
-            val = maximal_minors.slice_length(params, d)
-            if (d < n and val != 0) or (d >= n and val < 1):
-                ok, detail = False, f"slice={val} at m={m}, n={n}, d={d}"
-                break
-        if maximal_minors.slice_length(params, n) != 1:
-            ok, detail = False, f"slice at first power is {maximal_minors.slice_length(params, n)}"
-    suite.record("vanishing-floor-generic", ok, detail)
-
-    ok = True
-    detail = ""
-    for m, n in shapes:
-        params = GenericParams(m, n)
-        top = params.finite_ext_degree
-        flat = {j for j in range(2, top + 1) if (1 - j) % (m - n) == 0}
-        for d in range(1, 8):
-            degrees = maximal_minors.nonvanishing_degrees(params, d)
-            if not all((1 - j) % (m - n) == 0 and 2 <= j <= top for j in degrees):
-                ok, detail = False, f"structure violated: {sorted(degrees)} at m={m}, n={n}, d={d}"
-                break
-            if d >= n and degrees != flat:
-                # flags any power where the first-principles set departs from
-                # the power-independent divisibility criterion
-                ok, detail = False, f"expected {sorted(flat)}, got {sorted(degrees)} at d={d}"
-                break
-            cls = maximal_minors.length_classification(params, top, d)
-            want = (
-                LengthClassification.FINITE_NONZERO if d >= n else LengthClassification.ZERO
-            )
-            if cls is not want:
-                ok, detail = False, f"expected {want}, got {cls} at m={m}, n={n}, d={d}"
-                break
-    suite.record("degree-sets-and-classification", ok, detail)
-
-    ok = True
-    detail = ""
-    for m, n in shapes:
-        params = GenericParams(m, n)
-        values = [maximal_minors.slice_length(params, d) for d in range(n, n + 8)]
-        if any(b < a for a, b in zip(values, values[1:])):
-            ok, detail = False, f"not monotone at m={m}, n={n}: {values}"
-            break
-    suite.record("monotonicity-generic", ok, detail)
-
-    ok = True
-    detail = ""
-    for m in range(2, min(generic_max_m, 6) + 1):
-        params = GenericParams(m, 1)
-        for d in range(1, 8):
-            expected = comb(d + m - 2, m - 1)
-            got = maximal_minors.slice_length(params, d)
-            if got != expected:
-                ok, detail = False, f"expected {expected}, got {got} at m={m}, d={d}"
-                break
-    suite.record("variable-ideal-identity-n1", ok, detail)
+                yield f"expected {rhs}, got {lhs} at {family.label}, d={d}"
 
 
-# --------------------------------------------------------- pfaffian lengths
+def _vanishing_floor(families: list[Family], past_first: int) -> Iterator[str]:
+    """Slices vanish below the first finite power, are 1 at it and positive after."""
+    for family in families:
+        first = family.first_finite_power
+        for d in range(1, first + past_first + 1):
+            val = family.slice_length(d)
+            if (d < first and val != 0) or (d >= first and val < 1) or (d == first and val != 1):
+                yield f"slice={val} at {family.label}, d={d}"
 
 
-def _check_pfaffian_lengths(suite: _Suite, pfaffian_max_n: int) -> None:
-    ns = range(1, pfaffian_max_n + 1)
-
-    ok = True
-    detail = ""
-    for n in ns:
-        params = PfaffianParams(n)
-        for d in range(2, 11):
-            lhs = pfaffians.slice_length(params, d)
-            rhs = pfaffians.cumulative_length(params, d) - pfaffians.cumulative_length(params, d - 1)
-            if lhs != rhs:
-                ok, detail = False, f"expected {rhs}, got {lhs} at n={n}, d={d}"
-                break
-    suite.record("telescoping-pfaffian", ok, detail)
-
-    ok = True
-    detail = ""
-    for n in range(1, max(4, pfaffian_max_n) + 1):
-        params = PfaffianParams(n)
-        first = params.first_finite_power
-        for d in range(1, first + 3):
-            val = pfaffians.slice_length(params, d)
-            want_zero = d < first
-            if want_zero != (val == 0) or (d == first and val != 1):
-                ok, detail = False, f"slice={val} at n={n}, d={d}"
-                break
-    suite.record("vanishing-floor-pfaffian", ok, detail)
-
-    ok = True
-    detail = ""
-    for n in ns:
-        params = PfaffianParams(n)
-        for d in range(1, 9):
-            degrees = pfaffians.nonvanishing_degrees(params, d)
-            if not all(j % 2 == 1 and 3 <= j <= 2 * n + 1 for j in degrees):
-                ok, detail = False, f"parity violated: {sorted(degrees)} at n={n}, d={d}"
-                break
-            cls = pfaffians.length_classification(params, params.finite_ext_degree, d)
+def _degree_sets(
+    families: list[Family],
+    d_max: int,
+    allowed: Callable[[Family, int], bool],
+    flat: bool = False,
+) -> Iterator[str]:
+    """Every nonvanishing degree satisfies the family's rule, and only the top
+    degree is finite nonzero, from the first finite power on.  With flat, the
+    degree set from the first finite power on is every degree the rule allows."""
+    for family in families:
+        top = family.finite_ext_degree
+        flat_set = {j for j in range(top + 1) if allowed(family, j)}
+        for d in range(1, d_max + 1):
+            degrees = family.nonvanishing_degrees(d)
+            if not all(allowed(family, j) for j in degrees):
+                yield f"structure violated: {sorted(degrees)} at {family.label}, d={d}"
+            if flat and d >= family.first_finite_power and degrees != flat_set:
+                yield f"expected {sorted(flat_set)}, got {sorted(degrees)} at {family.label}, d={d}"
+            cls = family.length_classification(top, d)
             want = (
                 LengthClassification.FINITE_NONZERO
-                if d >= params.first_finite_power
+                if d >= family.first_finite_power
                 else LengthClassification.ZERO
             )
             if cls is not want:
-                ok, detail = False, f"expected {want}, got {cls} at n={n}, d={d}"
-                break
-    suite.record("degree-parity-pfaffian", ok, detail)
+                yield f"expected {want}, got {cls} at {family.label}, d={d}"
 
-    ok = True
-    detail = ""
-    params = PfaffianParams(1)
-    for d in range(1, 11):
-        expected = d * (d + 1) // 2
-        got = pfaffians.slice_length(params, d)
-        if got != expected:
-            ok, detail = False, f"expected {expected}, got {got} at d={d}"
-            break
-    suite.record("triangular-identity-n1", ok, detail)
 
-    ok = True
-    detail = ""
-    for n in ns:
-        params = PfaffianParams(n)
-        for d in range(params.first_finite_power, params.first_finite_power + 3):
-            for eps in partitions.weakly_decreasing_tuples(n - 1, d + 1 - 2 * n):
-                w = pfaffians.slice_weight(params, d, eps)
-                pairs_ok = all(w[2 * i] == w[2 * i + 1] for i in range(n))
-                dominant = all(w[i] >= w[i + 1] for i in range(len(w) - 1))
-                if not (pairs_ok and dominant and len(w) == 2 * n + 1):
-                    ok, detail = False, f"bad weight {w} at n={n}, d={d}, eps={eps}"
-                    break
-    suite.record("slice-weights-doubled-dominant", ok, detail)
+def _closed_form_slices(
+    families: list[Family], d_max: int, closed_form: Callable[[Family, int], int]
+) -> Iterator[str]:
+    for family in families:
+        for d in range(1, d_max + 1):
+            expected = closed_form(family, d)
+            got = family.slice_length(d)
+            if got != expected:
+                yield f"expected {expected}, got {got} at {family.label}, d={d}"
+
+
+def _check_lengths(suite: _Suite, generic_max_m: int, pfaffian_max_n: int, quick: bool) -> None:
+    generic = [
+        Family.generic(m, n)
+        for n in range(1, 3 if quick else 4)
+        for m in range(n + 1, generic_max_m + 1)
+    ]
+    suite.run("telescoping-generic", _telescoping(generic, 8))
+    suite.run("vanishing-floor-generic", _vanishing_floor(generic, 3))
+    suite.run(
+        "degree-sets-and-classification",
+        _degree_sets(
+            generic,
+            7,
+            lambda f, j: (1 - j) % (f.m - f.n) == 0 and 2 <= j <= f.finite_ext_degree,
+            flat=True,
+        ),
+    )
+
+    def monotone():
+        for family in generic:
+            first = family.first_finite_power
+            values = [family.slice_length(d) for d in range(first, first + 8)]
+            if any(b < a for a, b in zip(values, values[1:])):
+                yield f"not monotone at {family.label}: {values}"
+
+    suite.run("monotonicity-generic", monotone())
+    suite.run(
+        "variable-ideal-identity-n1",
+        _closed_form_slices(
+            [Family.generic(m, 1) for m in range(2, min(generic_max_m, 6) + 1)],
+            7,
+            lambda f, d: comb(d + f.m - 2, f.m - 1),
+        ),
+    )
+
+    pfaffian = [Family.pfaffian(n) for n in range(1, pfaffian_max_n + 1)]
+    suite.run("telescoping-pfaffian", _telescoping(pfaffian, 10))
+    suite.run(
+        "vanishing-floor-pfaffian",
+        _vanishing_floor([Family.pfaffian(n) for n in range(1, max(4, pfaffian_max_n) + 1)], 2),
+    )
+    suite.run(
+        "degree-parity-pfaffian",
+        _degree_sets(pfaffian, 8, lambda f, j: j % 2 == 1 and 3 <= j <= f.finite_ext_degree),
+    )
+    suite.run(
+        "triangular-identity-n1",
+        _closed_form_slices([Family.pfaffian(1)], 10, lambda f, d: d * (d + 1) // 2),
+    )
+
+    def doubled_dominant():
+        for family in pfaffian:
+            n = family.n
+            first = family.first_finite_power
+            for d in range(first, first + 3):
+                for eps in partitions.weakly_decreasing_tuples(n - 1, d + 1 - 2 * n):
+                    w = pfaffians.slice_weight(family, d, eps)
+                    pairs_ok = all(w[2 * i] == w[2 * i + 1] for i in range(n))
+                    dominant = all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+                    if not (pairs_ok and dominant and len(w) == 2 * n + 1):
+                        yield f"bad weight {w} at n={n}, d={d}, eps={eps}"
+
+    suite.run("slice-weights-doubled-dominant", doubled_dominant())
 
 
 # ------------------------------------------------------------ multiplicities
@@ -412,51 +370,49 @@ def _check_pfaffian_lengths(suite: _Suite, pfaffian_max_n: int) -> None:
 def _check_multiplicities(
     suite: _Suite, generic_max_m: int, pfaffian_max_n: int, quick: bool, jobs: int | None
 ) -> None:
-    generic_instances = [
+    families = [
         Family.generic(m, n)
         for n in range(1, 3 if quick else 4)
         for m in range(n, generic_max_m + 1)
-    ]
-    pfaffian_instances = [Family.pfaffian(n) for n in range(1, pfaffian_max_n + 1)]
+    ] + [Family.pfaffian(n) for n in range(1, pfaffian_max_n + 1)]
+    reports: dict[Family, multiplicities.MultiplicityReport] = {}
 
-    poly_ok = True
-    poly_detail = ""
-    agree_ok = True
-    agree_detail = ""
-    for family in generic_instances + pfaffian_instances:
-        try:
-            report = multiplicities.build_report(family, jobs)
-        except multiplicities.ConsistencyError as exc:
-            poly_ok, poly_detail = False, str(exc)
-            break
-        if not report.all_agree and agree_ok:
-            agree_ok = False
-            agree_detail = f"{family.label}: oracles {report.oracles} vs {report.j_multiplicity}"
-        if report.epsilon_multiplicity != report.j_multiplicity and agree_ok:
-            agree_ok = False
-            agree_detail = (
-                f"{family.label}: epsilon {report.epsilon_multiplicity} "
-                f"!= j {report.j_multiplicity}"
-            )
-        if report.j_multiplicity.denominator != 1 and agree_ok:
-            agree_ok = False
-            agree_detail = f"{family.label}: non-integral value {report.j_multiplicity}"
-    suite.record("slice-polynomial-held-out-validation", poly_ok, poly_detail)
-    suite.record("five-way-oracle-agreement", agree_ok, agree_detail)
+    def held_out():
+        for family in families:
+            try:
+                reports[family] = multiplicities.build_report(family, jobs)
+            except multiplicities.ConsistencyError as exc:
+                yield str(exc)
 
-    ok = True
-    detail = ""
-    for m in range(2, 9):
-        expected = Fraction(comb(2 * m, m), m + 1)
-        try:
-            got = multiplicities.j_multiplicity(Family.generic(m, 2), jobs)
-        except multiplicities.ConsistencyError as exc:
-            ok, detail = False, str(exc)
-            break
-        if got != expected:
-            ok, detail = False, f"expected {expected}, got {got} at m={m}"
-            break
-    suite.record("catalan-family", ok, detail)
+    suite.run("slice-polynomial-held-out-validation", held_out())
+
+    def agreement():
+        for family, report in reports.items():
+            j = report.j_multiplicity
+            if not report.all_agree:
+                yield f"{family.label}: oracles {report.oracles} vs {j}"
+            if report.epsilon_multiplicity != j:
+                yield f"{family.label}: epsilon {report.epsilon_multiplicity} != j {j}"
+            if j.denominator != 1:
+                yield f"{family.label}: non-integral value {j}"
+
+    suite.run("five-way-oracle-agreement", agreement())
+
+    def catalan():
+        for m in range(2, 9):
+            family = Family.generic(m, 2)
+            if family not in reports:
+                try:
+                    reports[family] = multiplicities.build_report(family, jobs)
+                except multiplicities.ConsistencyError as exc:
+                    yield str(exc)
+                    continue
+            expected = Fraction(comb(2 * m, m), m + 1)
+            got = reports[family].j_multiplicity
+            if got != expected:
+                yield f"expected {expected}, got {got} at m={m}"
+
+    suite.run("catalan-family", catalan())
 
     spots = [
         ((1, 3, 2, 1), Fraction(1, 12)),
@@ -469,17 +425,16 @@ def _check_multiplicities(
     ]
     suite.record("selberg-spot-values", not mism, f"mismatches: {mism}")
 
-    ok = True
-    detail = ""
-    for nv in (1, 2):
-        for a in range(1, 5):
-            for b in range(1, 5):
-                expected = _selberg_by_expansion(nv, a, b)
-                got = multiplicities.selberg_integral(nv, a, b, 1)
-                if got != expected:
-                    ok, detail = False, f"expected {expected}, got {got} at n={nv}, a={a}, b={b}"
-                    break
-    suite.record("selberg-vs-expansion", ok, detail)
+    def selberg_expansion():
+        for nv in (1, 2):
+            for a in range(1, 5):
+                for b in range(1, 5):
+                    expected = _selberg_by_expansion(nv, a, b)
+                    got = multiplicities.selberg_integral(nv, a, b, 1)
+                    if got != expected:
+                        yield f"expected {expected}, got {got} at n={nv}, a={a}, b={b}"
+
+    suite.run("selberg-vs-expansion", selberg_expansion())
 
 
 def _selberg_by_expansion(nv: int, a: int, b: int) -> Fraction:
@@ -531,7 +486,9 @@ def run_checks(
     the flags bound the largest generic m and pfaffian n exercised.  The
     desk-scale budget is generic_max_m <= 12 and pfaffian_max_n <= 4 (the
     pfaffian interpolation at n = 4 already walks 38 powers of a ring of
-    dimension 36).  jobs caps the worker fan-out of the length enumerations.
+    dimension 36).  jobs caps the worker fan-out of the slice enumerations
+    inside the multiplicity reports; the length checks never pass it.  Each
+    check reports its first disagreement.
     """
     if generic_max_m < 2 or pfaffian_max_n < 1:
         raise ValueError("ranges too small: need generic_max_m >= 2 and pfaffian_max_n >= 1")
@@ -546,7 +503,6 @@ def run_checks(
     _check_arith(suite, quick)
     _check_partitions(suite, quick)
     _check_schur(suite, quick)
-    _check_generic_lengths(suite, generic_max_m, quick)
-    _check_pfaffian_lengths(suite, pfaffian_max_n)
+    _check_lengths(suite, generic_max_m, pfaffian_max_n, quick)
     _check_multiplicities(suite, generic_max_m, pfaffian_max_n, quick, jobs)
     return suite.checks

@@ -35,6 +35,8 @@ CASES = [
 ] + [
     ["verify", "--quick", "--no-timing"],
     ["verify", "--quick", "--format", "table", "--no-timing"],
+    ["verify", "--no-timing"],
+    ["verify", "--generic-max-m", "8", "--pfaffian-max-n", "3", "--no-timing"],
     ["ext-length", "--generic", "-m", "3", "-n", "3", "--slice", "-d", "2", "--no-timing"],
 ]
 

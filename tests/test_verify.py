@@ -56,3 +56,16 @@ def test_check_result_shape():
     result = CheckResult("demo", False, "expected 1, got 2")
     assert not result.passed
     assert "expected" in result.detail
+
+
+def test_first_disagreement_is_reported(monkeypatch):
+    # the detail names the first failing shape in loop order, not the last
+    real = detmult.maximal_minors.slice_length
+
+    def perturbed(params, d, jobs=None):
+        value = real(params, d, jobs)
+        return value + 1 if params.n == 1 and d == 3 else value
+
+    monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)
+    detail = {c.name: c.detail for c in run_checks(quick=True)}["variable-ideal-identity-n1"]
+    assert "m=2" in detail and "d=3" in detail, detail
