@@ -3,10 +3,11 @@
 Subcommands: ``schur-dim``, ``ext-length``, ``multiplicity``, ``verify`` and
 ``sweep``.  Output is a JSON record (schema "detmult/1") by default, with keys
 sorted and every exact integer or rational rendered as a string so downstream
-consumers never overflow 64-bit integers; ``--format csv`` applies to sweeps
-and ``--format table`` renders aligned columns.  Flags take precedence over
-the ``DETMULT_FORMAT`` / ``DETMULT_JOBS`` environment variables, which take
-precedence over the defaults.
+consumers never overflow 64-bit integers; ``--format table`` renders aligned
+columns.  Each subparser declares its renderers; only ``sweep`` renders csv,
+and a format the subcommand lacks is refused before any computation.  Flags
+take precedence over the ``DETMULT_FORMAT`` / ``DETMULT_JOBS`` environment
+variables, which take precedence over the defaults.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 consistency error.
@@ -162,7 +163,6 @@ def _cmd_verify(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
             generic_max_m=args.generic_max_m,
             pfaffian_max_n=args.pfaffian_max_n,
             quick=args.quick,
-            jobs=jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -201,22 +201,37 @@ def _cmd_sweep(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
     return parameters, {"rows": rows}, 0
 
 
-# ------------------------------------------------------------------ emission
+# ------------------------------------------------------------------ renderers
 
 
-def _emit_json(record: dict) -> None:
+def _render_json(record: dict) -> None:
     print(json.dumps(record, indent=2, sort_keys=True))
 
 
-def _emit_csv(command: str, record: dict) -> None:
-    if command != "sweep":
-        raise UsageError("--format csv is only available for sweep")
+def _render_sweep_csv(record: dict) -> None:
     params = record["parameters"]
-    token = f"m={params['m']};n={params['n']}" if "m" in params else f"n={params['n']}"
+    token = ";".join(f"{k}={v}" for k, v in params.items() if k not in ("family", "d_from", "d_to"))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "params", "d", "slice_length", "cumulative_length"])
     for row in record["results"]["rows"]:
         writer.writerow([params["family"], token, row["d"], row["slice_length"], row["cumulative_length"]])
+
+
+def _render_sweep_table(record: dict) -> None:
+    headers = ["d", "slice_length", "cumulative_length"]
+    rows = [[r[h] for h in headers] for r in record["results"]["rows"]]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
+    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    for r in rows:
+        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+
+
+def _render_verify_table(record: dict) -> None:
+    for check in record["results"]["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        suffix = f": {check['detail']}" if check["detail"] else ""
+        print(f"{status}  {check['name']}{suffix}")
+    print(f"{record['results']['failed']} failed of {record['results']['total']} checks")
 
 
 def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]) -> None:
@@ -230,27 +245,15 @@ def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]) -> None:
         out.append((prefix, str(value)))
 
 
-def _emit_table(command: str, record: dict) -> None:
-    if command == "sweep":
-        headers = ["d", "slice_length", "cumulative_length"]
-        rows = [[r[h] for h in headers] for r in record["results"]["rows"]]
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-        print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-        for r in rows:
-            print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-        return
-    if command == "verify":
-        for check in record["results"]["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            suffix = f": {check['detail']}" if check["detail"] else ""
-            print(f"{status}  {check['name']}{suffix}")
-        print(f"{record['results']['failed']} failed of {record['results']['total']} checks")
-        return
+def _render_flat_table(record: dict) -> None:
     pairs: list[tuple[str, str]] = []
     _flatten("", record["results"], pairs)
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
         print(f"{key.ljust(width)}  {value}")
+
+
+FLAT_RENDER = {"json": _render_json, "table": _render_flat_table}
 
 
 # ---------------------------------------------------------------- arg parser
@@ -281,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True, help="comma-separated weakly decreasing integers")
     p.add_argument("--dim", type=int, required=True, help="rank N (weight is zero-padded to N)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_schur_dim)
+    p.set_defaults(handler=_cmd_schur_dim, render=FLAT_RENDER)
 
     p = sub.add_parser("ext-length", help="slice or cumulative Ext length with classifications")
     _add_family(p)
@@ -291,27 +294,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=None, help="power for --slice")
     p.add_argument("-D", type=int, default=None, help="power for --cumulative")
     _add_common(p)
-    p.set_defaults(handler=_cmd_ext_length)
+    p.set_defaults(handler=_cmd_ext_length, render=FLAT_RENDER)
 
     p = sub.add_parser("multiplicity", help="multiplicity report with oracle cross-checks")
     _add_family(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_multiplicity)
+    p.set_defaults(handler=_cmd_multiplicity, render=FLAT_RENDER)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--generic-max-m", type=int, default=5, help="largest generic m exercised")
     p.add_argument("--pfaffian-max-n", type=int, default=2, help="largest pfaffian n exercised")
     p.add_argument("--quick", action="store_true", help="restrict to n <= 2 families")
     _add_common(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, render={"json": _render_json, "table": _render_verify_table})
 
     p = sub.add_parser("sweep", help="tabulate slice and cumulative lengths")
     _add_family(p)
     p.add_argument("--d-from", type=int, required=True, help="first power")
     p.add_argument("--d-to", type=int, required=True, help="last power (inclusive)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_sweep)
+    render = {"json": _render_json, "table": _render_sweep_table, "csv": _render_sweep_csv}
+    p.set_defaults(handler=_cmd_sweep, render=render)
 
+    parser.set_defaults(renders={name: sp.get_default("render") for name, sp in sub.choices.items()})
     return parser
 
 
@@ -326,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fmt = _resolve_format(args)
         jobs = _resolve_jobs(args)
+        if fmt not in args.render:
+            owners = ", ".join(name for name, render in args.renders.items() if fmt in render)
+            raise UsageError(f"--format {fmt} is only available for {owners}")
         parameters, results, exit_code = args.handler(args, jobs)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -341,16 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if not args.no_timing:
         record["timing_ms"] = int((time.perf_counter() - started) * 1000)
-    try:
-        if fmt == "json":
-            _emit_json(record)
-        elif fmt == "csv":
-            _emit_csv(args.command, record)
-        else:
-            _emit_table(args.command, record)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args.render[fmt](record)
     return exit_code
 
 

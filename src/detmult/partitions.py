@@ -15,6 +15,7 @@ two routes are checked against each other in the verification suite.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Collection, Iterator, NamedTuple
 
 PartitionLike = tuple[int, ...]
@@ -24,7 +25,6 @@ __all__ = [
     "box_partitions",
     "conjugate",
     "contained_in",
-    "double",
     "is_layer_index",
     "maximal_minor_layers",
     "normalize",
@@ -68,14 +68,6 @@ def truncate(x: PartitionLike, c: int) -> PartitionLike:
     return normalize(tuple(min(p, c) for p in normalize(x)))
 
 
-def double(z: PartitionLike) -> PartitionLike:
-    """Each part repeated twice, order preserved: (3, 1) -> (3, 3, 1, 1)."""
-    out = []
-    for p in normalize(z):
-        out += [p, p]
-    return tuple(out)
-
-
 def contained_in(inner: PartitionLike, outer: PartitionLike) -> bool:
     """Young-diagram containment: every part of inner fits under outer."""
     n = max(len(inner), len(outer))
@@ -86,15 +78,10 @@ def weakly_decreasing_tuples(length: int, bound: int) -> Iterator[tuple[int, ...
     """All weakly decreasing tuples of the given length with entries in [0, bound].
 
     Yields nothing when bound < 0 and length > 0; yields the empty tuple once
-    when length is 0.  Generation is lexicographically descending in the
-    leading entry.
+    when length is 0; raises ValueError when length < 0.  Generation is
+    lexicographically descending.
     """
-    if length == 0:
-        yield ()
-        return
-    for first in range(bound, -1, -1):
-        for rest in weakly_decreasing_tuples(length - 1, first):
-            yield (first,) + rest
+    return combinations_with_replacement(range(bound, -1, -1), length)
 
 
 def box_partitions(total: int, rows: int, width: int) -> list[PartitionLike]:

@@ -367,9 +367,7 @@ def _check_lengths(suite: _Suite, generic_max_m: int, pfaffian_max_n: int, quick
 # ------------------------------------------------------------ multiplicities
 
 
-def _check_multiplicities(
-    suite: _Suite, generic_max_m: int, pfaffian_max_n: int, quick: bool, jobs: int | None
-) -> None:
+def _check_multiplicities(suite: _Suite, generic_max_m: int, pfaffian_max_n: int, quick: bool) -> None:
     families = [
         Family.generic(m, n)
         for n in range(1, 3 if quick else 4)
@@ -380,7 +378,7 @@ def _check_multiplicities(
     def held_out():
         for family in families:
             try:
-                reports[family] = multiplicities.build_report(family, jobs)
+                reports[family] = multiplicities.build_report(family)
             except multiplicities.ConsistencyError as exc:
                 yield str(exc)
 
@@ -403,7 +401,7 @@ def _check_multiplicities(
             family = Family.generic(m, 2)
             if family not in reports:
                 try:
-                    reports[family] = multiplicities.build_report(family, jobs)
+                    reports[family] = multiplicities.build_report(family)
                 except multiplicities.ConsistencyError as exc:
                     yield str(exc)
                     continue
@@ -478,7 +476,6 @@ def run_checks(
     generic_max_m: int = 5,
     pfaffian_max_n: int = 2,
     quick: bool = False,
-    jobs: int | None = None,
 ) -> list[CheckResult]:
     """Run the whole cross-check suite and return one result per check.
 
@@ -486,9 +483,9 @@ def run_checks(
     the flags bound the largest generic m and pfaffian n exercised.  The
     desk-scale budget is generic_max_m <= 12 and pfaffian_max_n <= 4 (the
     pfaffian interpolation at n = 4 already walks 38 powers of a ring of
-    dimension 36).  jobs caps the worker fan-out of the slice enumerations
-    inside the multiplicity reports; the length checks never pass it.  Each
-    check reports its first disagreement.
+    dimension 36).  Within this budget no slice is wide enough to engage the
+    per-slice worker pool, so every check runs serially.  Each check reports
+    its first disagreement.
     """
     if generic_max_m < 2 or pfaffian_max_n < 1:
         raise ValueError("ranges too small: need generic_max_m >= 2 and pfaffian_max_n >= 1")
@@ -504,5 +501,5 @@ def run_checks(
     _check_partitions(suite, quick)
     _check_schur(suite, quick)
     _check_lengths(suite, generic_max_m, pfaffian_max_n, quick)
-    _check_multiplicities(suite, generic_max_m, pfaffian_max_n, quick, jobs)
+    _check_multiplicities(suite, generic_max_m, pfaffian_max_n, quick)
     return suite.checks

@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import detmult.cli
 import detmult.maximal_minors
 import detmult.multiplicities
+import detmult.verify
 from detmult.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -226,6 +228,30 @@ def test_csv_rejected_outside_sweep(capsys):
     )
     assert code == 2
     assert "csv" in err
+
+
+def test_refused_format_does_no_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the format was checked")
+
+    monkeypatch.setattr(detmult.cli, "build_report", refuse)
+    monkeypatch.setattr(detmult.verify, "run_checks", refuse)
+    message = "error: --format csv is only available for sweep\n"
+    code, out, err = run_cli(
+        capsys, "multiplicity", "--generic", "-m", "3", "-n", "2", "--format", "csv"
+    )
+    assert (code, out, err) == (2, "", message)
+    monkeypatch.setenv("DETMULT_FORMAT", "csv")
+    code, out, err = run_cli(capsys, "verify", "--quick")
+    assert (code, out, err) == (2, "", message)
+
+
+def test_jobs_error_precedes_format_refusal(capsys):
+    code, _, err = run_cli(
+        capsys, "schur-dim", "--weight", "1,0", "--dim", "2", "--format", "csv", "--jobs", "0"
+    )
+    assert code == 2
+    assert "--jobs" in err
 
 
 def test_table_format(capsys):

@@ -38,6 +38,10 @@ CASES = [
     ["verify", "--no-timing"],
     ["verify", "--generic-max-m", "8", "--pfaffian-max-n", "3", "--no-timing"],
     ["ext-length", "--generic", "-m", "3", "-n", "3", "--slice", "-d", "2", "--no-timing"],
+    ["verify", "--quick", "--format", "csv", "--no-timing"],
+] + [
+    ["schur-dim", "--weight", "2,1,0", "--dim", "3", "--format", fmt, "--no-timing"]
+    for fmt in ("json", "table", "csv")
 ]
 
 

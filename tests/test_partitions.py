@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -8,7 +9,6 @@ from detmult.partitions import (
     box_partitions,
     conjugate,
     contained_in,
-    double,
     is_layer_index,
     maximal_minor_layers,
     normalize,
@@ -74,12 +74,6 @@ def test_truncate_bounds(x, c):
     assert all(p <= c for p in t)
 
 
-def test_double_examples():
-    assert double((3, 1)) == (3, 3, 1, 1)
-    assert double((4,)) == (4, 4)
-    assert double(()) == ()
-
-
 def test_contained_in_pads_with_zeros():
     assert contained_in((1, 1), (2, 1, 1))
     assert not contained_in((1, 1, 1), (1, 1))
@@ -99,6 +93,25 @@ def test_weakly_decreasing_tuples_count():
 def test_weakly_decreasing_tuples_negative_bound():
     assert list(weakly_decreasing_tuples(2, -1)) == []
     assert list(weakly_decreasing_tuples(0, -1)) == [()]
+
+
+def test_weakly_decreasing_tuples_order_matches_brute_force():
+    for length in range(0, 5):
+        for bound in range(-2, 9):
+            reference = sorted(
+                (
+                    t
+                    for t in product(range(bound + 1), repeat=length)
+                    if all(t[i] >= t[i + 1] for i in range(length - 1))
+                ),
+                reverse=True,
+            )
+            assert list(weakly_decreasing_tuples(length, bound)) == reference
+
+
+def test_weakly_decreasing_tuples_negative_length():
+    with pytest.raises(ValueError):
+        weakly_decreasing_tuples(-1, 3)
 
 
 def test_box_partitions_power_family():
