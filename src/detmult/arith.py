@@ -2,8 +2,9 @@
 
 Arbitrary-precision integers and rationals (``int`` / ``fractions.Fraction``),
 factorials, Bernoulli numbers, Faulhaber power-sum polynomials, range
-summation of polynomials and exact Newton interpolation.  No floating point
-appears anywhere; every operation is exact.
+summation of polynomials, exact Newton interpolation, and fraction-free
+determinants and Pfaffians of integer matrices.  No floating point appears
+anywhere; every operation is exact.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ __all__ = [
     "ConsistencyError",
     "RationalPolynomial",
     "bernoulli",
+    "determinant",
+    "exact_quotient",
     "factorial",
     "faulhaber_polynomial",
     "interpolate",
+    "pfaffian",
     "poly_range_sum",
 ]
 
@@ -212,3 +216,85 @@ def interpolate(points: Sequence[tuple[int, Rational]]) -> RationalPolynomial:
     for k in range(npts - 2, -1, -1):
         poly = poly * RationalPolynomial((-xs[k], 1)) + RationalPolynomial.constant(coefs[k])
     return poly
+
+
+def exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator for a division known to be exact.
+
+    A remainder means an upstream bug and raises ConsistencyError, also under
+    ``python -O``.
+    """
+    q, r = divmod(numerator, denominator)
+    if r:
+        raise ConsistencyError(f"{what}: {numerator}/{denominator} is not an integer")
+    return q
+
+
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free: after step k every remaining entry is a (k+1) x (k+1) minor,
+    so the division by the previous pivot is exact (Sylvester's identity).  A
+    zero pivot is replaced by the first lower row with a nonzero entry in its
+    column, flipping the sign; if there is none the determinant is 0.  The
+    empty matrix has determinant 1.
+    """
+    a = [list(row) for row in matrix]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ValueError("determinant requires a square matrix")
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = exact_quotient(pivot * row[j] - lead * top[j], prev, "Bareiss step")
+        prev = pivot
+    return sign * a[-1][-1] if size else 1
+
+
+def pfaffian(matrix: Sequence[Sequence[int]]) -> int:
+    """Pfaffian of a skew-symmetric integer matrix by skew Schur-complement elimination.
+
+    Each step eliminates the leading pair of indices (k, k+1) against the
+    pivot a[k][k+1].  Kept fraction-free, the entry (i, j) after the step is
+    the Pfaffian of the principal submatrix on {0, ..., k+1, i, j}, so the
+    division by the previous pivot is exact (the Pfaffian form of Sylvester's
+    identity), and the last pivot is the Pfaffian itself.  A zero pivot is
+    replaced by swapping index k+1 with the first later index j having
+    a[k][j] != 0, which flips the sign; if there is none the Pfaffian is 0.
+    Odd sizes give 0 and the empty matrix gives 1.
+    """
+    a = [list(row) for row in matrix]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ValueError("pfaffian requires a square matrix")
+    if any(a[i][j] != -a[j][i] for i in range(size) for j in range(i, size)):
+        raise ValueError("pfaffian requires a skew-symmetric matrix")
+    if size % 2:
+        return 0
+    sign, prev = 1, 1
+    for k in range(0, size, 2):
+        if a[k][k + 1] == 0:
+            swap = next((j for j in range(k + 2, size) if a[k][j]), None)
+            if swap is None:
+                return 0
+            a[k + 1], a[swap] = a[swap], a[k + 1]
+            for row in a:
+                row[k + 1], row[swap] = row[swap], row[k + 1]
+            sign = -sign
+        pivot, first, second = a[k][k + 1], a[k], a[k + 1]
+        for i in range(k + 2, size):
+            for j in range(i + 1, size):
+                step = pivot * a[i][j] - first[i] * second[j] + first[j] * second[i]
+                a[i][j] = exact_quotient(step, prev, "Pfaffian step")
+                a[j][i] = -a[i][j]
+        prev = pivot
+    return sign * prev

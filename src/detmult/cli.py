@@ -7,7 +7,8 @@ consumers never overflow 64-bit integers; ``--format table`` renders aligned
 columns.  Each subparser declares its renderers; only ``sweep`` renders csv,
 and a format the subcommand lacks is refused before any computation.  Flags
 take precedence over the ``DETMULT_FORMAT`` / ``DETMULT_JOBS`` environment
-variables, which take precedence over the defaults.
+variables, which take precedence over the defaults.  ``--jobs`` is still
+validated (exit 2 unless a positive integer) but changes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 consistency error.
@@ -261,7 +262,7 @@ FLAT_RENDER = {"json": _render_json, "table": _render_flat_table}
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    parser.add_argument("--jobs", type=int, default=None, help="worker cap for enumeration fan-out")
+    parser.add_argument("--jobs", type=int, default=None, help="validated (a positive integer) but ignored")
     parser.add_argument("--no-timing", action="store_true", help="omit timing_ms from the record")
 
 

@@ -4,9 +4,10 @@
 ``PfaffianParams`` (sub-maximal pfaffians, in ``pfaffians``) are the two
 implementations of ``Family``.  Each supplies its name, its parameters, the
 ring dimension, the finite Ext degree, the first power with a finite nonzero
-slice, the slice length and the set of nonvanishing degrees.  Everything
-derived from those, such as local duality, the zero/finite/infinite
-classification and the cumulative length, is defined here once.
+slice, the slice length (a fast kernel and an enumeration reference) and the
+set of nonvanishing degrees.  Everything derived from those, such as local
+duality, the zero/finite/infinite classification and the cumulative length,
+is defined here once.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ class Family(ABC):
     @abstractmethod
     def slice_length(self, d: int, jobs: int | None = None) -> int:
         """Length of the finite Ext module of the slice between powers d-1 and d."""
+
+    @abstractmethod
+    def reference_slice_length(self, d: int) -> int:
+        """The same length by enumerating the weight tuples of the slice sum.
+
+        Slow (the tuple count grows like d^(n-1)); it exists as the route that
+        ``slice_length`` is checked against in ``verify`` and the tests.
+        """
 
     @abstractmethod
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:

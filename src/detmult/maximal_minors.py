@@ -9,6 +9,23 @@ is a sum of products of two Weyl dimensions over weakly decreasing tuples
 
     slice(d) = sum  dim S_(e, 0) C^n  *  dim S_((d-n)^(m-n), e, 0) C^m.
 
+``slice_length`` evaluates this sum in moment form.  With x_t = e_t + n - t
+(t = 1..n, so x_n = 0 is pinned) the free points x_1 > ... > x_{n-1} range
+over the (n-1)-subsets of {1, ..., d-1}.  Both Weyl products contain the
+Vandermonde of x_1, ..., x_n, and the constant block of the second weight
+contributes W_d(x) = (d-x+m-n-1)! / (d-x-1)! per point.  Heine's (Andreief's)
+identity turns the sum over subsets of Vandermonde^2 * prod W_d(x_t) into the
+Hankel determinant of the moments mu_r = sum_{x=1}^{d-1} x^(r+2) W_d(x), where
+x^2 is the Vandermonde factor against the pinned point 0:
+
+    slice(d) = W_d(0) * det[mu_(i+j)]_(0 <= i, j <= n-2)
+               / (prod_{1<=s<t<=n} (t-s)^2 * prod_{t=1}^{n} (t+m-n-1)! / (t-1)!)
+
+That is O(d n) big-integer work per power instead of C(d-1, n-1) tuples.  For
+n = 1 the determinant is empty and the formula is C(d+m-2, m-1).
+``GenericParams.reference_slice_length`` keeps the tuple sum itself as the
+independent route that ``verify`` and the tests compare against.
+
 For m = n the classification degenerates (the ideal is principal) and the
 degree bookkeeping below refuses it, but the slice sums themselves remain
 well defined and are used by the multiplicity pipeline, where they reproduce
@@ -17,9 +34,13 @@ the square-matrix Catalan values.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# Unused here: bench/tracer.py patches this module's ProcessPoolExecutor, so the
+# name stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from math import perm
 
+from .arith import determinant, exact_quotient, factorial
 from .family import Family, LengthClassification
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
@@ -33,10 +54,6 @@ __all__ = [
     "nonvanishing_degrees",
     "slice_length",
 ]
-
-# Engage worker processes only when the outer enumeration is at least this wide;
-# below it the pool startup dominates the exact arithmetic.
-_PARALLEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,16 @@ class GenericParams(Family):
     def slice_length(self, d: int, jobs: int | None = None) -> int:
         return slice_length(self, d, jobs)  # the module attribute, resolved per call
 
+    def reference_slice_length(self, d: int) -> int:
+        """The slice length as the plain sum over weight tuples, for cross-checks only."""
+        if d < 1:
+            raise ValueError(f"reference_slice_length requires d >= 1, got {d}")
+        m, n = self.m, self.n
+        return sum(
+            weyl_dimension(eps + (0,)) * weyl_dimension((d - n,) * (m - n) + eps + (0,))
+            for eps in weakly_decreasing_tuples(n - 1, d - n)
+        )
+
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:
         """Cohomological degrees j with a nonzero Ext module for the d-th power.
 
@@ -111,40 +138,38 @@ def _weight_chain_feasible(m: int, n: int, c: int, s: int) -> bool:
     return n - 1 - c - m <= s - m
 
 
-def _slice_term(m: int, n: int, d: int, eps: tuple[int, ...]) -> int:
-    small = eps + (0,)
-    big = (d - n,) * (m - n) + eps + (0,)
-    return weyl_dimension(small) * weyl_dimension(big)
+def _moment_denominator(m: int, n: int) -> int:
+    """prod_{1<=s<t<=n} (t-s)^2 * prod_{t=1}^{n} (t+m-n-1)!/(t-1)!.
 
-
-def _slice_block(args: tuple[int, int, int, int]) -> int:
-    """Sum of all slice terms whose leading tuple entry equals e1."""
-    m, n, d, e1 = args
-    total = 0
-    for rest in weakly_decreasing_tuples(n - 2, e1):
-        total += _slice_term(m, n, d, (e1,) + rest)
-    return total
+    Since prod_{s<t} (t-s) = prod_t (t-1)!, this is prod_{t=1}^{n} (t-1)! (t+m-n-1)!.
+    """
+    out = 1
+    for t in range(1, n + 1):
+        out *= factorial(t - 1) * factorial(t + m - n - 1)
+    return out
 
 
 def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
-    Zero for d < n.  With jobs > 1 the outer enumeration fans out over worker
-    processes; exact integer addition is associative, so the result does not
-    depend on the split.
+    Zero for d < n.  Computed as the Hankel determinant of moments described
+    in the module docstring; the final division is checked to be exact.
+    ``jobs`` is accepted and ignored.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
     m, n = params.m, params.n
     if d < n:
         return 0
-    if n == 1:
-        return weyl_dimension((d - 1,) * (m - 1) + (0,))
-    blocks = [(m, n, d, e1) for e1 in range(d - n + 1)]
-    if jobs is not None and jobs > 1 and len(blocks) >= _PARALLEL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_slice_block, blocks))
-    return sum(map(_slice_block, blocks))
+    moments = [0] * max(2 * n - 3, 0)
+    for x in range(1, d):
+        term = perm(d - x + m - n - 1, m - n) * x * x
+        for r in range(len(moments)):
+            moments[r] += term
+            term *= x
+    hankel = [moments[i:i + n - 1] for i in range(n - 1)]
+    numerator = perm(d + m - n - 1, m - n) * determinant(hankel)
+    return exact_quotient(numerator, _moment_denominator(m, n), f"{params.label} slice at d={d}")
 
 
 # Module-level spellings of the members, taking the params as first argument.

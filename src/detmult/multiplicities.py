@@ -74,7 +74,7 @@ def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynom
         if got != expected:
             raise ConsistencyError(
                 f"{family.label}: interpolated slice polynomial gives {got} at "
-                f"d={d}, direct enumeration gives {expected}"
+                f"d={d}, slice_length gives {expected}"
             )
     if poly.degree != k - 1:
         raise ConsistencyError(

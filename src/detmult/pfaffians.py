@@ -10,14 +10,35 @@ Weyl dimensions over weakly decreasing tuples (e_1 >= ... >= e_{n-1}) in
     (d+1, d+1, 2n+e_1, 2n+e_1, ..., 2n+e_{n-1}, 2n+e_{n-1}, 2n)
 
 of length 2n + 1; all interior entries occur in equal pairs.
+
+``slice_length`` evaluates this sum in moment form.  Shifted by the Weyl
+vector (entry i plus 2n+1-i, then minus 2n), the weight becomes the point 0,
+the pinned pair {d, d+1} and one pair {z, z+1} per tuple entry, the n-1 free
+z lying in {1, ..., d-2}.  In the Weyl product two pairs whose z differ by
+delta contribute delta^2 (delta^2 - 1), which vanishes for overlapping
+pairs, and each free pair contributes omega_d(z) = z(z+1)(d-z)^2((d-z)^2-1)
+against the pinned points.  De Bruijn's Pfaffian identity (1955) turns the
+sum over sets of free pairs into the Pfaffian of the skew moment matrix
+
+    A_ij = sum_{z=1}^{d-2} omega_d(z) ((z+1)^i z^j - z^i (z+1)^j),  0 <= i, j < 2n-2,
+
+    slice(d) = (-1)^(n-1) d(d+1) Pf(A) / prod_{1<=p<q<=2n+1} (q-p).
+
+That is O(d n^2) big-integer work per power instead of a tuple count growing
+like d^(n-1).  For n = 1 the Pfaffian is empty and the formula is d(d+1)/2.
+``PfaffianParams.reference_slice_length`` keeps the tuple sum itself as the
+independent route that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# Unused here: bench/tracer.py patches this module's ProcessPoolExecutor, so the
+# name stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Sequence
 
+from .arith import exact_quotient, factorial, pfaffian
 from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
@@ -31,9 +52,6 @@ __all__ = [
     "slice_length",
     "slice_weight",
 ]
-
-# Same role as in maximal_minors: pool startup dominates below this width.
-_PARALLEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,15 @@ class PfaffianParams(Family):
     def slice_length(self, d: int, jobs: int | None = None) -> int:
         return slice_length(self, d, jobs)  # the module attribute, resolved per call
 
+    def reference_slice_length(self, d: int) -> int:
+        """The slice length as the plain sum over weight tuples, for cross-checks only."""
+        if d < 1:
+            raise ValueError(f"reference_slice_length requires d >= 1, got {d}")
+        return sum(
+            weyl_dimension(slice_weight(self, d, eps))
+            for eps in weakly_decreasing_tuples(self.n - 1, d + 1 - 2 * self.n)
+        )
+
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:
         """Cohomological degrees with nonzero Ext for the d-th pfaffian power.
 
@@ -115,33 +142,40 @@ def slice_weight(params: PfaffianParams, d: int, epsilon: Sequence[int]) -> tupl
     return tuple(w)
 
 
-def _slice_block(args: tuple[int, int, int]) -> int:
-    n, d, e1 = args
-    params = PfaffianParams(n)
-    total = 0
-    for rest in weakly_decreasing_tuples(n - 2, e1):
-        total += weyl_dimension(slice_weight(params, d, (e1,) + rest))
-    return total
+def _moment_denominator(n: int) -> int:
+    """prod_{1<=p<q<=2n+1} (q-p), which is prod_{t=1}^{2n+1} (t-1)!."""
+    out = 1
+    for t in range(1, 2 * n + 2):
+        out *= factorial(t - 1)
+    return out
 
 
 def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
     Zero for d < 2n-1; exactly 1 at d = 2n-1, where the only summand is a
-    constant weight.
+    constant weight.  Computed as the Pfaffian of moments described in the
+    module docstring; the final division is checked to be exact.  ``jobs`` is
+    accepted and ignored.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
     n = params.n
     if d < params.first_finite_power:
         return 0
-    if n == 1:
-        return weyl_dimension(slice_weight(params, d, ()))
-    blocks = [(n, d, e1) for e1 in range(d + 2 - 2 * n)]
-    if jobs is not None and jobs > 1 and len(blocks) >= _PARALLEL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_slice_block, blocks))
-    return sum(map(_slice_block, blocks))
+    size = 2 * n - 2
+    upper = [[0] * size for _ in range(size)]
+    for z in range(1, d - 1):
+        y = d - z
+        omega = z * (z + 1) * y * y * (y * y - 1)
+        low = [z**i for i in range(size)]
+        high = [(z + 1) ** i for i in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                upper[i][j] += omega * (high[i] * low[j] - low[i] * high[j])
+    moments = [[upper[i][j] if i < j else -upper[j][i] for j in range(size)] for i in range(size)]
+    numerator = (-1) ** (n - 1) * d * (d + 1) * pfaffian(moments)
+    return exact_quotient(numerator, _moment_denominator(n), f"{params.label} slice at d={d}")
 
 
 # Module-level spellings of the members, taking the params as first argument.

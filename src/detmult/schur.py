@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arith import ConsistencyError
+from .arith import exact_quotient
 
 __all__ = ["embed_weight", "shift", "weyl_dimension"]
 
@@ -46,10 +46,7 @@ def weyl_dimension(weight: Sequence[int], n: int | None = None) -> int:
         for j in range(i + 1, len(w)):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    q, r = divmod(num, den)
-    if r:
-        raise ConsistencyError(f"Weyl product {num}/{den} is not an integer at {w}")
-    return q
+    return exact_quotient(num, den, f"Weyl product at {w}")
 
 
 def shift(weight: Sequence[int], c: int) -> tuple[int, ...]:

@@ -238,16 +238,17 @@ def _check_schur(suite: _Suite, quick: bool) -> None:
 #
 # Each check below runs unchanged over either family.  Slice lengths are taken
 # through Family.slice_length, which resolves the module's slice_length at call
-# time, and never with a worker pool.
+# time.
 
 
 def _telescoping(families: list[Family], d_max: int) -> Iterator[str]:
+    """Differences of the kernel's cumulative lengths equal the enumerated slices."""
     for family in families:
         for d in range(2, d_max + 1):
-            lhs = family.slice_length(d)
-            rhs = family.cumulative_length(d) - family.cumulative_length(d - 1)
-            if lhs != rhs:
-                yield f"expected {rhs}, got {lhs} at {family.label}, d={d}"
+            expected = family.reference_slice_length(d)
+            got = family.cumulative_length(d) - family.cumulative_length(d - 1)
+            if got != expected:
+                yield f"expected {expected}, got {got} at {family.label}, d={d}"
 
 
 def _vanishing_floor(families: list[Family], past_first: int) -> Iterator[str]:
@@ -483,9 +484,7 @@ def run_checks(
     the flags bound the largest generic m and pfaffian n exercised.  The
     desk-scale budget is generic_max_m <= 12 and pfaffian_max_n <= 4 (the
     pfaffian interpolation at n = 4 already walks 38 powers of a ring of
-    dimension 36).  Within this budget no slice is wide enough to engage the
-    per-slice worker pool, so every check runs serially.  Each check reports
-    its first disagreement.
+    dimension 36).  Each check reports its first disagreement.
     """
     if generic_max_m < 2 or pfaffian_max_n < 1:
         raise ValueError("ranges too small: need generic_max_m >= 2 and pfaffian_max_n >= 1")

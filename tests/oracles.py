@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
 
 
 def count_ssyt_backtracking(shape: tuple[int, ...], n: int) -> int:
@@ -102,3 +102,28 @@ def selberg_dim2_beta(a: int, b: int) -> Fraction:
 def direct_power_sum(p: int, b: int) -> int:
     """1^p + 2^p + ... + b^p by direct accumulation."""
     return sum(k**p for k in range(1, b + 1))
+
+
+def determinant_by_permutations(matrix: list[list[int]]) -> int:
+    """Leibniz expansion: the signed sum over all permutations."""
+    size = len(matrix)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(size))
+    return total
+
+
+def pfaffian_by_expansion(matrix: list[list[int]]) -> int:
+    """Expansion along the first row: Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows/cols 0, j)."""
+    size = len(matrix)
+    if size == 0:
+        return 1
+    if size % 2:
+        return 0
+    total = 0
+    for j in range(1, size):
+        rest = [k for k in range(1, size) if k != j]
+        minor = [[matrix[a][b] for b in rest] for a in rest]
+        total += (-1) ** (j + 1) * matrix[0][j] * pfaffian_by_expansion(minor)
+    return total

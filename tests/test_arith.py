@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detmult.arith import (
+    ConsistencyError,
     RationalPolynomial,
     bernoulli,
+    determinant,
+    exact_quotient,
     factorial,
     faulhaber_polynomial,
     interpolate,
+    pfaffian,
     poly_range_sum,
 )
-from oracles import direct_power_sum
+from oracles import determinant_by_permutations, direct_power_sum, pfaffian_by_expansion
 
 X = RationalPolynomial((0, 1))
 
@@ -199,3 +203,66 @@ def test_concurrent_callers_see_pure_function_results():
         results = list(pool.map(work, range(32)))
     for seed, triple in enumerate(results):
         assert triple == work(seed)
+
+
+# Entries drawn mostly from {-1, 0, 1} so that zero pivots, and with them the
+# row and index swaps, occur often.
+small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+
+
+@st.composite
+def square_matrices(draw, max_size=5):
+    size = draw(st.integers(min_value=0, max_value=max_size))
+    return [[draw(small_entries) for _ in range(size)] for _ in range(size)]
+
+
+@st.composite
+def skew_matrices(draw, max_size=6):
+    size = draw(st.integers(min_value=0, max_value=max_size))
+    a = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            a[i][j] = draw(small_entries)
+            a[j][i] = -a[i][j]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_permutation_expansion(matrix):
+    assert determinant(matrix) == determinant_by_permutations(matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_matrices())
+def test_pfaffian_matches_expansion_and_squares_to_determinant(matrix):
+    value = pfaffian(matrix)
+    assert value == pfaffian_by_expansion(matrix)
+    assert value**2 == determinant(matrix)
+
+
+def test_determinant_and_pfaffian_examples():
+    assert determinant([]) == 1
+    assert determinant([[5]]) == 5
+    assert determinant([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert determinant([[0, 2], [0, 3]]) == 0
+    assert pfaffian([]) == 1
+    assert pfaffian([[0, 4], [-4, 0]]) == 4
+    assert pfaffian([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]) == 0
+    # a_01 = 0: the pivot comes from index 2, so Pf = -a_02 a_13 = -6
+    assert pfaffian([[0, 0, 2, 0], [0, 0, 0, 3], [-2, 0, 0, 0], [0, -3, 0, 0]]) == -6
+
+
+def test_determinant_and_pfaffian_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
+    with pytest.raises(ValueError):
+        pfaffian([[0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        pfaffian([[0, 1, 2], [-1, 0, 3]])
+
+
+def test_exact_quotient():
+    assert exact_quotient(-12, 4, "demo") == -3
+    with pytest.raises(ConsistencyError, match="demo: 7/2 is not an integer"):
+        exact_quotient(7, 2, "demo")

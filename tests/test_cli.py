@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import detmult.cli
 import detmult.maximal_minors
 import detmult.multiplicities
@@ -157,6 +159,29 @@ def test_non_integral_oracle_exits_3_under_optimize():
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "closed_form_generic(3, 2) is not an integer" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module,argv,label",
+    [
+        ("maximal_minors", ["--generic", "-m", "3", "-n", "2"], "generic-maximal-minors(m=3, n=2) slice at d=2"),
+        ("pfaffians", ["--pfaffian", "-n", "2"], "sub-maximal-pfaffians(n=2) slice at d=3"),
+    ],
+)
+def test_inexact_slice_kernel_exits_3_under_optimize(module, argv, label):
+    # the kernel's final division is checked with divmod, which -O keeps; at the
+    # first finite power the slice is 1, so the numerator is the true denominator
+    script = (
+        "import sys\n"
+        f"import detmult.{module} as kernel\n"
+        "from detmult.cli import main\n"
+        "real = kernel._moment_denominator\n"
+        "kernel._moment_denominator = lambda *args: real(*args) + 1\n"
+        f"sys.exit(main(['multiplicity', *{argv!r}, '--no-timing']))\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert f"{label}: " in proc.stderr and "is not an integer" in proc.stderr, proc.stderr
 
 
 def test_determinism(capsys):

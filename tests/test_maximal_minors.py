@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detmult.arith import interpolate
 from detmult.maximal_minors import (
@@ -164,10 +165,7 @@ def test_local_cohomology_index():
         local_cohomology_index(M32, -1)
 
 
-def test_parallel_jobs_match_sequential(monkeypatch):
-    import detmult.maximal_minors as mm
-
-    monkeypatch.setattr(mm, "_PARALLEL_THRESHOLD", 4)
+def test_jobs_is_accepted_and_changes_nothing():
     assert slice_length(M32, 9, jobs=2) == slice_length(M32, 9)
     assert cumulative_length(M32, 7, jobs=2) == cumulative_length(M32, 7)
 
@@ -177,3 +175,35 @@ def test_slice_length_rejects_nonpositive_power():
         slice_length(M32, 0)
     with pytest.raises(ValueError):
         cumulative_length(M32, 0)
+
+
+# Shapes on which the moment kernel is checked against the tuple enumeration
+# at twelve consecutive powers from the first finite one; (7, 7) is square.
+PARITY_SHAPES = [(3, 2), (5, 3), (8, 4), (6, 5), (7, 7)] + [(m, 1) for m in range(1, 9)]
+
+
+@pytest.mark.parametrize("m,n", PARITY_SHAPES)
+def test_slice_length_matches_enumeration(m, n):
+    params = GenericParams(m, n)
+    for d in range(n, n + 12):
+        assert slice_length(params, d) == params.reference_slice_length(d), d
+
+
+@st.composite
+def generic_nodes(draw):
+    m = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=m))
+    d = draw(st.integers(min_value=1, max_value=n + 8))
+    return GenericParams(m, n), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(generic_nodes())
+def test_slice_length_matches_enumeration_property(node):
+    params, d = node
+    assert slice_length(params, d) == params.reference_slice_length(d)
+
+
+def test_reference_rejects_nonpositive_power():
+    with pytest.raises(ValueError):
+        M32.reference_slice_length(0)

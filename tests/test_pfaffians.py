@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detmult.arith import interpolate
 from detmult.maximal_minors import LengthClassification
@@ -162,10 +163,7 @@ def test_local_cohomology_index():
         local_cohomology_index(P2, 11)
 
 
-def test_parallel_jobs_match_sequential(monkeypatch):
-    import detmult.pfaffians as pf
-
-    monkeypatch.setattr(pf, "_PARALLEL_THRESHOLD", 4)
+def test_jobs_is_accepted_and_changes_nothing():
     assert slice_length(P2, 10, jobs=2) == slice_length(P2, 10)
     assert cumulative_length(P2, 8, jobs=2) == cumulative_length(P2, 8)
 
@@ -175,3 +173,30 @@ def test_rejects_nonpositive_power():
         slice_length(P2, 0)
     with pytest.raises(ValueError):
         nonvanishing_degrees(P2, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slice_length_matches_enumeration(n):
+    params = PfaffianParams(n)
+    first = params.first_finite_power
+    for d in range(first, first + 12):
+        assert slice_length(params, d) == params.reference_slice_length(d), d
+
+
+@st.composite
+def pfaffian_nodes(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=2 * n + 8))
+    return PfaffianParams(n), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(pfaffian_nodes())
+def test_slice_length_matches_enumeration_property(node):
+    params, d = node
+    assert slice_length(params, d) == params.reference_slice_length(d)
+
+
+def test_reference_rejects_nonpositive_power():
+    with pytest.raises(ValueError):
+        P2.reference_slice_length(0)

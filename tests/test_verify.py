@@ -1,5 +1,8 @@
+import pytest
+
 import detmult.maximal_minors
 import detmult.multiplicities
+import detmult.pfaffians
 from detmult.verify import CheckResult, count_semistandard_tableaux, run_checks
 from oracles import count_ssyt_backtracking
 
@@ -69,3 +72,22 @@ def test_first_disagreement_is_reported(monkeypatch):
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)
     detail = {c.name: c.detail for c in run_checks(quick=True)}["variable-ideal-identity-n1"]
     assert "m=2" in detail and "d=3" in detail, detail
+
+
+@pytest.mark.parametrize(
+    "module,check",
+    [(detmult.maximal_minors, "telescoping-generic"), (detmult.pfaffians, "telescoping-pfaffian")],
+)
+def test_wrong_slice_kernel_fails_telescoping(monkeypatch, module, check):
+    # the enumeration reference does not go through slice_length, so the
+    # kernel's cumulative differences disagree with it at the wrong power
+    real = module.slice_length
+
+    def perturbed(params, d, jobs=None):
+        value = real(params, d, jobs)
+        return value + 1 if d == 5 else value
+
+    monkeypatch.setattr(module, "slice_length", perturbed)
+    result = {c.name: c for c in run_checks(quick=True)}[check]
+    assert not result.passed
+    assert "d=5" in result.detail, result.detail
