@@ -5,10 +5,11 @@ Subcommands: ``schur-dim``, ``ext-length``, ``multiplicity``, ``verify`` and
 sorted and every exact integer or rational rendered as a string so downstream
 consumers never overflow 64-bit integers; ``--format table`` renders aligned
 columns.  Each subparser declares its renderers; only ``sweep`` renders csv,
-and a format the subcommand lacks is refused before any computation.  Flags
-take precedence over the ``DETMULT_FORMAT`` / ``DETMULT_JOBS`` environment
-variables, which take precedence over the defaults.  ``--jobs`` is still
-validated (exit 2 unless a positive integer) but changes nothing.
+and a format the subcommand lacks is refused before any computation.
+``--format`` takes precedence over the ``DETMULT_FORMAT`` environment
+variable, which takes precedence over the default.  ``--jobs N`` is accepted
+and ignored; it goes when the benchmark stops patching the slice modules'
+process pool (ROADMAP item 2).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 consistency error.
@@ -55,19 +56,6 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    raw = args.jobs if args.jobs is not None else os.environ.get("DETMULT_JOBS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"--jobs expects a positive integer, got {raw!r}") from None
-    if jobs < 1:
-        raise UsageError(f"--jobs expects a positive integer, got {jobs}")
-    return jobs
-
-
 def _family_from_args(args: argparse.Namespace, require_rectangular: bool) -> Family:
     if args.generic:
         if args.m is None or args.n is None:
@@ -91,7 +79,7 @@ def _family_from_args(args: argparse.Namespace, require_rectangular: bool) -> Fa
 # ------------------------------------------------------------------ handlers
 
 
-def _cmd_schur_dim(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
+def _cmd_schur_dim(args: argparse.Namespace) -> tuple[dict, dict, int]:
     try:
         entries = tuple(int(tok) for tok in args.weight.split(","))
     except ValueError:
@@ -106,7 +94,7 @@ def _cmd_schur_dim(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int
     return parameters, {"dimension": _fmt(dim)}, 0
 
 
-def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
+def _cmd_ext_length(args: argparse.Namespace) -> tuple[dict, dict, int]:
     family = _family_from_args(args, require_rectangular=True)
     if args.slice:
         if args.d is None:
@@ -114,7 +102,7 @@ def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, in
         if args.d < 1:
             raise UsageError(f"-d expects a power >= 1, got {args.d}")
         power = args.d
-        length = family.slice_length(power, jobs)
+        length = family.slice_length(power)
         mode = "slice"
     else:
         if args.D is None:
@@ -122,7 +110,7 @@ def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, in
         if args.D < 1:
             raise UsageError(f"-D expects a power >= 1, got {args.D}")
         power = args.D
-        length = family.cumulative_length(power, jobs)
+        length = family.cumulative_length(power)
         mode = "cumulative"
     parameters = family.parameters
     parameters["mode"] = mode
@@ -141,9 +129,9 @@ def _cmd_ext_length(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, in
     return parameters, results, 0
 
 
-def _cmd_multiplicity(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
+def _cmd_multiplicity(args: argparse.Namespace) -> tuple[dict, dict, int]:
     family = _family_from_args(args, require_rectangular=False)
-    report = build_report(family, jobs)
+    report = build_report(family)
     results = {
         "family": family.kind,
         "ring_dimension": _fmt(family.ring_dimension),
@@ -158,7 +146,7 @@ def _cmd_multiplicity(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, 
     return family.parameters, results, 0
 
 
-def _cmd_verify(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     try:
         checks = verify.run_checks(
             generic_max_m=args.generic_max_m,
@@ -183,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
     return parameters, results, 1 if failed else 0
 
 
-def _cmd_sweep(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, int]:
     family = _family_from_args(args, require_rectangular=False)
     if args.d_from < 1 or args.d_to < 0:
         raise UsageError("--d-from and --d-to expect powers >= 1")
@@ -191,9 +179,9 @@ def _cmd_sweep(args: argparse.Namespace, jobs: int) -> tuple[dict, dict, int]:
     if args.d_to >= args.d_from:
         running = 0
         if args.d_from > 1:
-            running = family.cumulative_length(args.d_from - 1, jobs)
+            running = family.cumulative_length(args.d_from - 1)
         for d in range(args.d_from, args.d_to + 1):
-            s = family.slice_length(d, jobs)
+            s = family.slice_length(d)
             running += s
             rows.append({"d": str(d), "slice_length": str(s), "cumulative_length": str(running)})
     parameters = family.parameters
@@ -262,7 +250,7 @@ FLAT_RENDER = {"json": _render_json, "table": _render_flat_table}
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    parser.add_argument("--jobs", type=int, default=None, help="validated (a positive integer) but ignored")
+    parser.add_argument("--jobs", type=int, default=None, help="accepted and ignored (to be removed)")
     parser.add_argument("--no-timing", action="store_true", help="omit timing_ms from the record")
 
 
@@ -331,11 +319,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         fmt = _resolve_format(args)
-        jobs = _resolve_jobs(args)
         if fmt not in args.render:
             owners = ", ".join(name for name, render in args.renders.items() if fmt in render)
             raise UsageError(f"--format {fmt} is only available for {owners}")
-        parameters, results, exit_code = args.handler(args, jobs)
+        parameters, results, exit_code = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,7 +71,7 @@ class Family(ABC):
         """Smallest power d with a nonzero finite-length slice."""
 
     @abstractmethod
-    def slice_length(self, d: int, jobs: int | None = None) -> int:
+    def slice_length(self, d: int) -> int:
         """Length of the finite Ext module of the slice between powers d-1 and d."""
 
     @abstractmethod
@@ -105,7 +105,7 @@ class Family(ABC):
             return LengthClassification.FINITE_NONZERO
         return LengthClassification.INFINITE
 
-    def cumulative_length(self, D: int, jobs: int | None = None) -> int:
+    def cumulative_length(self, D: int) -> int:
         """Length of the finite Ext module of the full thickening at power D.
 
         Telescopes over the slices d = first_finite_power .. D; this is also
@@ -113,4 +113,4 @@ class Family(ABC):
         """
         if D < 1:
             raise ValueError(f"cumulative_length requires D >= 1, got {D}")
-        return sum(self.slice_length(d, jobs) for d in range(self.first_finite_power, D + 1))
+        return sum(self.slice_length(d) for d in range(self.first_finite_power, D + 1))

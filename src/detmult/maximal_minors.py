@@ -38,7 +38,6 @@ from __future__ import annotations
 # name stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from math import perm
 
 from .arith import determinant, exact_quotient, factorial
 from .family import Family, LengthClassification
@@ -90,8 +89,8 @@ class GenericParams(Family):
     def parameters(self) -> dict[str, str]:
         return {"family": self.kind, "m": str(self.m), "n": str(self.n)}
 
-    def slice_length(self, d: int, jobs: int | None = None) -> int:
-        return slice_length(self, d, jobs)  # the module attribute, resolved per call
+    def slice_length(self, d: int) -> int:
+        return slice_length(self, d)  # the module attribute, resolved per call
 
     def reference_slice_length(self, d: int) -> int:
         """The slice length as the plain sum over weight tuples, for cross-checks only."""
@@ -149,12 +148,14 @@ def _moment_denominator(m: int, n: int) -> int:
     return out
 
 
+# jobs: unused; bench/tracer.py calls this positionally (ROADMAP item 2).
 def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
     Zero for d < n.  Computed as the Hankel determinant of moments described
-    in the module docstring; the final division is checked to be exact.
-    ``jobs`` is accepted and ignored.
+    in the module docstring, with the weights W_d(x) taken from x = d-1 down
+    to 0 by W_d(x-1) = W_d(x) (d-x+m-n) / (d-x); every division is checked to
+    be exact.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
@@ -162,13 +163,17 @@ def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     if d < n:
         return 0
     moments = [0] * max(2 * n - 3, 0)
-    for x in range(1, d):
-        term = perm(d - x + m - n - 1, m - n) * x * x
-        for r in range(len(moments)):
-            moments[r] += term
-            term *= x
+    what = f"{params.label} moment weight at d={d}"
+    weight = factorial(m - n)  # W_d(d-1); each step below lowers x by one
+    for x in range(d - 1, 0, -1):
+        if moments:  # empty for n = 1, where only W_d(0) is needed
+            term = weight * x * x
+            for r in range(len(moments)):
+                moments[r] += term
+                term *= x
+        weight = exact_quotient(weight * (d - x + m - n), d - x, what)  # W_d(x-1)
     hankel = [moments[i:i + n - 1] for i in range(n - 1)]
-    numerator = perm(d + m - n - 1, m - n) * determinant(hankel)
+    numerator = weight * determinant(hankel)
     return exact_quotient(numerator, _moment_denominator(m, n), f"{params.label} slice at d={d}")
 
 

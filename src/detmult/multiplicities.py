@@ -57,7 +57,7 @@ def _integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynomial:
+def slice_polynomial(family: Family) -> RationalPolynomial:
     """Exact polynomial agreeing with slice_length(d) for all d >= d0.
 
     Interpolates at the k nodes d0 .. d0+k-1 (k the ring dimension, so the
@@ -66,10 +66,10 @@ def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynom
     """
     k = family.ring_dimension
     d0 = family.first_finite_power
-    nodes = [(d, family.slice_length(d, jobs)) for d in range(d0, d0 + k)]
+    nodes = [(d, family.slice_length(d)) for d in range(d0, d0 + k)]
     poly = interpolate(nodes)
     for d in (d0 + k, d0 + k + 1):
-        expected = family.slice_length(d, jobs)
+        expected = family.slice_length(d)
         got = poly(d)
         if got != expected:
             raise ConsistencyError(
@@ -83,18 +83,18 @@ def slice_polynomial(family: Family, jobs: int | None = None) -> RationalPolynom
     return poly
 
 
-def j_multiplicity(family: Family, jobs: int | None = None) -> Fraction:
+def j_multiplicity(family: Family) -> Fraction:
     """(k-1)! times the leading coefficient of the slice polynomial."""
-    return build_report(family, jobs).j_multiplicity
+    return build_report(family).j_multiplicity
 
 
-def epsilon_multiplicity(family: Family, jobs: int | None = None) -> Fraction:
+def epsilon_multiplicity(family: Family) -> Fraction:
     """k! times the leading coefficient of the summed slice polynomial.
 
     Equals j_multiplicity exactly: summation divides the leading coefficient
     by k while the normalization multiplies by k.
     """
-    return build_report(family, jobs).epsilon_multiplicity
+    return build_report(family).epsilon_multiplicity
 
 
 def closed_form_generic(m: int, n: int) -> int:
@@ -258,13 +258,14 @@ class MultiplicityReport:
     all_agree: bool
 
 
+# jobs: unused; bench/tracer.py calls this positionally (ROADMAP item 2).
 def build_report(family: Family, jobs: int | None = None) -> MultiplicityReport:
     """Run the interpolation route and every applicable oracle for a family.
 
     all_agree is set exactly when every oracle value equals the interpolated
     j-multiplicity.
     """
-    poly = slice_polynomial(family, jobs)
+    poly = slice_polynomial(family)
     k = family.ring_dimension
     j_mult = factorial(k - 1) * poly.leading_coefficient
     eps_mult = factorial(k) * poly_range_sum(poly, family.first_finite_power).leading_coefficient

@@ -90,8 +90,8 @@ class PfaffianParams(Family):
     def parameters(self) -> dict[str, str]:
         return {"family": self.kind, "n": str(self.n)}
 
-    def slice_length(self, d: int, jobs: int | None = None) -> int:
-        return slice_length(self, d, jobs)  # the module attribute, resolved per call
+    def slice_length(self, d: int) -> int:
+        return slice_length(self, d)  # the module attribute, resolved per call
 
     def reference_slice_length(self, d: int) -> int:
         """The slice length as the plain sum over weight tuples, for cross-checks only."""
@@ -150,13 +150,13 @@ def _moment_denominator(n: int) -> int:
     return out
 
 
+# jobs: unused; bench/tracer.py calls this positionally (ROADMAP item 2).
 def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
     Zero for d < 2n-1; exactly 1 at d = 2n-1, where the only summand is a
     constant weight.  Computed as the Pfaffian of moments described in the
-    module docstring; the final division is checked to be exact.  ``jobs`` is
-    accepted and ignored.
+    module docstring; the final division is checked to be exact.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")

@@ -143,8 +143,8 @@ def test_criterion_6_polynomiality_validation(capsys, monkeypatch):
     # negative control: a perturbed enumeration must raise and exit 3
     real = detmult.maximal_minors.slice_length
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if d == 8 else value
 
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)

@@ -137,8 +137,8 @@ def test_multiplicity_round_trip(capsys):
 def test_multiplicity_internal_error_exits_3(capsys, monkeypatch):
     real = detmult.maximal_minors.slice_length
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if d == 8 else value  # first held-out node for (3, 2)
 
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)
@@ -271,14 +271,6 @@ def test_refused_format_does_no_work(capsys, monkeypatch):
     assert (code, out, err) == (2, "", message)
 
 
-def test_jobs_error_precedes_format_refusal(capsys):
-    code, _, err = run_cli(
-        capsys, "schur-dim", "--weight", "1,0", "--dim", "2", "--format", "csv", "--jobs", "0"
-    )
-    assert code == 2
-    assert "--jobs" in err
-
-
 def test_table_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -329,12 +321,6 @@ def test_invalid_format_env_rejected(capsys, monkeypatch):
     assert "format" in err
 
 
-def test_invalid_jobs_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("DETMULT_JOBS", "many")
-    code, _, _ = run_cli(capsys, "schur-dim", "--weight", "1,0", "--dim", "2")
-    assert code == 2
-
-
 def test_jobs_env_accepted(capsys, monkeypatch):
     monkeypatch.setenv("DETMULT_JOBS", "2")
     record = run_json(capsys, "multiplicity", "--pfaffian", "-n", "1")
@@ -354,9 +340,22 @@ def test_jobs_flag_accepted(capsys):
     assert record["results"]["j_multiplicity"] == "5"
 
 
-def test_jobs_must_be_positive(capsys):
-    code, _, _ = run_cli(capsys, "schur-dim", "--weight", "1,0", "--dim", "2", "--jobs", "0")
-    assert code == 2
+@pytest.mark.parametrize(
+    "flags, env", [(["--jobs", "0"], None), ([], "many"), (["--jobs", "3"], "-1")]
+)
+def test_jobs_is_ignored(capsys, monkeypatch, flags, env):
+    argv = ["sweep", "--pfaffian", "-n", "2", "--d-from", "1", "--d-to", "5", "--no-timing"]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    if env is not None:
+        monkeypatch.setenv("DETMULT_JOBS", env)
+    assert run_cli(capsys, *argv, *flags) == plain
+
+
+def test_non_integer_jobs_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "schur-dim", "--weight", "1,0", "--dim", "2", "--jobs", "x")
+    assert (code, out) == (2, "")
+    assert "--jobs: invalid int value" in err
 
 
 def test_pfaffian_rejects_m_flag(capsys):

@@ -167,7 +167,6 @@ def test_local_cohomology_index():
 
 def test_jobs_is_accepted_and_changes_nothing():
     assert slice_length(M32, 9, jobs=2) == slice_length(M32, 9)
-    assert cumulative_length(M32, 7, jobs=2) == cumulative_length(M32, 7)
 
 
 def test_slice_length_rejects_nonpositive_power():

@@ -276,8 +276,8 @@ def test_consistency_error_on_perturbed_enumeration(monkeypatch):
     family = Family.generic(3, 2)
     bad_node = family.first_finite_power + family.ring_dimension  # first held-out node
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if d == bad_node else value
 
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)

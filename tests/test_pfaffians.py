@@ -165,7 +165,6 @@ def test_local_cohomology_index():
 
 def test_jobs_is_accepted_and_changes_nothing():
     assert slice_length(P2, 10, jobs=2) == slice_length(P2, 10)
-    assert cumulative_length(P2, 8, jobs=2) == cumulative_length(P2, 8)
 
 
 def test_rejects_nonpositive_power():

@@ -45,8 +45,8 @@ def test_broken_enumeration_is_reported_not_raised(monkeypatch):
     # a failed held-out node must become a failing check, never a crash
     real = detmult.maximal_minors.slice_length
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if d == 8 else value
 
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)
@@ -65,8 +65,8 @@ def test_first_disagreement_is_reported(monkeypatch):
     # the detail names the first failing shape in loop order, not the last
     real = detmult.maximal_minors.slice_length
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if params.n == 1 and d == 3 else value
 
     monkeypatch.setattr(detmult.maximal_minors, "slice_length", perturbed)
@@ -83,8 +83,8 @@ def test_wrong_slice_kernel_fails_telescoping(monkeypatch, module, check):
     # kernel's cumulative differences disagree with it at the wrong power
     real = module.slice_length
 
-    def perturbed(params, d, jobs=None):
-        value = real(params, d, jobs)
+    def perturbed(params, d):
+        value = real(params, d)
         return value + 1 if d == 5 else value
 
     monkeypatch.setattr(module, "slice_length", perturbed)
