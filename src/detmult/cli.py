@@ -97,6 +97,8 @@ def _cmd_schur_dim(args: argparse.Namespace) -> tuple[dict, dict, int]:
 def _cmd_ext_length(args: argparse.Namespace) -> tuple[dict, dict, int]:
     family = _family_from_args(args, require_rectangular=True)
     if args.slice:
+        if args.D is not None:
+            raise UsageError("-D only applies to --cumulative")
         if args.d is None:
             raise UsageError("--slice requires -d")
         if args.d < 1:
@@ -105,6 +107,8 @@ def _cmd_ext_length(args: argparse.Namespace) -> tuple[dict, dict, int]:
         length = family.slice_length(power)
         mode = "slice"
     else:
+        if args.d is not None:
+            raise UsageError("-d only applies to --slice")
         if args.D is None:
             raise UsageError("--cumulative requires -D")
         if args.D < 1:

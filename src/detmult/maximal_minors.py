@@ -105,36 +105,21 @@ class GenericParams(Family):
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:
         """Cohomological degrees j with a nonzero Ext module for the d-th power.
 
-        Derived from first principles: each feasible pair (c, s) with
-        0 <= c <= d-1, 0 <= s <= n-1 contributes j = n(m-n) + 1 - s(m-n).
-        Every emitted j satisfies (m-n) | (1-j) and 2 <= j <= n(m-n)+1.
+        Layer c of the power, 0 <= c <= d-1, contributes j = n(m-n) + 1 - s(m-n)
+        for each 0 <= s <= n-1 that admits a weakly decreasing integer weight
+        chain of length n with last entry n-1-c-m, entry s at least s-n and
+        entry s+1 at most s-m.  The entries up to s can be raised freely, so
+        the chain exists exactly when the last entry fits under the ceiling,
+        n-1-c-m <= s-m, that is s >= n-1-c.  The union over the layers is
+        max(0, n-d) <= s <= n-1: every j satisfies (m-n) | (1-j) and
+        2 <= j <= n(m-n)+1, and the top degree appears from d = n on.
         """
-        _require_rectangular(self)
+        if self.m == self.n:
+            raise ValueError("cohomological degree classification requires m > n")
         if d < 1:
             raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
-        m, n = self.m, self.n
-        out = set()
-        for c in range(d):
-            for s in range(n):
-                if _weight_chain_feasible(m, n, c, s):
-                    out.add(self.finite_ext_degree - s * (m - n))
-        return frozenset(out)
-
-
-def _require_rectangular(params: GenericParams) -> None:
-    if params.m == params.n:
-        raise ValueError("cohomological degree classification requires m > n")
-
-
-def _weight_chain_feasible(m: int, n: int, c: int, s: int) -> bool:
-    """Existence of a weakly decreasing integer weight chain of length n with
-    last entry fixed at n-1-c-m, entry s bounded below by s-n (when s >= 1)
-    and entry s+1 bounded above by s-m (when s < n).
-
-    Since m >= n, the floor s-n never lies above the ceiling s-m, so the chain
-    exists exactly when the fixed last entry fits under that ceiling.
-    """
-    return n - 1 - c - m <= s - m
+        step = self.m - self.n
+        return frozenset(self.finite_ext_degree - s * step for s in range(max(0, self.n - d), self.n))
 
 
 def _moment_denominator(m: int, n: int) -> int:

@@ -18,7 +18,10 @@ real correctness signal comes from the independent oracles:
   * counts of (shifted) standard tableaux,
   * the Selberg-integral route with its explicit constant.
 
-All five routes must agree exactly, as rationals, with denominator 1.
+All five routes must agree exactly, as rationals, with denominator 1.  For
+the generic family only four of them are independent: until the Grassmannian
+gets a route of its own (ROADMAP item 4), grassmannian_degree(n, m+n)
+evaluates the same product of factorials as closed_form_generic(m, n).
 """
 
 from __future__ import annotations

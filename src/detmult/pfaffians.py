@@ -105,19 +105,16 @@ class PfaffianParams(Family):
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:
         """Cohomological degrees with nonzero Ext for the d-th pfaffian power.
 
-        For each c in 0..d-1 the feasible values of the third tableau bound t
-        run over max(0, ceil(n - 1 - c/2)) .. n-1, contributing j = 2(n-t) + 1;
-        every degree is odd and lies in [3, 2n+1].
+        Layer c of the power, 0 <= c <= d-1, reaches the values of the third
+        tableau bound t with ceil(n - 1 - c/2) <= t <= n-1, each contributing
+        j = 2(n-t) + 1.  The union over the layers is
+        max(0, n - ceil(d/2)) <= t <= n-1: every degree is odd, lies in
+        [3, 2n+1], and the top degree appears from d = 2n-1 on.
         """
         if d < 1:
             raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
         n = self.n
-        out = set()
-        for c in range(d):
-            lo = max(0, -((c - 2 * (n - 1)) // 2))  # ceil((2(n-1) - c) / 2)
-            for t in range(lo, n):
-                out.add(2 * (n - t) + 1)
-        return frozenset(out)
+        return frozenset(2 * (n - t) + 1 for t in range(max(0, n - (d + 1) // 2), n))
 
 
 def slice_weight(params: PfaffianParams, d: int, epsilon: Sequence[int]) -> tuple[int, ...]:

@@ -127,3 +127,32 @@ def pfaffian_by_expansion(matrix: list[list[int]]) -> int:
         minor = [[matrix[a][b] for b in rest] for a in rest]
         total += (-1) ** (j + 1) * matrix[0][j] * pfaffian_by_expansion(minor)
     return total
+
+
+def generic_degrees_by_search(m: int, n: int, d: int) -> set[int]:
+    """Nonvanishing degrees of the d-th maximal-minor power, layer by layer.
+
+    Layer c (0 <= c <= d-1) reaches s (0 <= s <= n-1) when a weakly decreasing
+    chain of length n with last entry n-1-c-m can put entry s at or above s-n
+    and entry s+1 at or below s-m.  The entries up to s are free, so that is
+    n-1-c-m <= s-m.  Each reached s gives j = n(m-n) + 1 - s(m-n).
+    """
+    return {
+        n * (m - n) + 1 - s * (m - n)
+        for c in range(d)
+        for s in range(n)
+        if n - 1 - c - m <= s - m
+    }
+
+
+def pfaffian_degrees_by_search(n: int, d: int) -> set[int]:
+    """Nonvanishing degrees of the d-th pfaffian power, layer by layer.
+
+    Layer c (0 <= c <= d-1) reaches the third tableau bounds
+    ceil((2(n-1) - c) / 2) <= t <= n-1, each giving j = 2(n-t) + 1.
+    """
+    return {
+        2 * (n - t) + 1
+        for c in range(d)
+        for t in range(max(0, -((c - 2 * (n - 1)) // 2)), n)
+    }

@@ -96,6 +96,16 @@ def test_ext_length_requires_power_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode, flag", [("--slice", "-D"), ("--cumulative", "-d")])
+def test_ext_length_refuses_the_other_modes_power(capsys, mode, flag):
+    code, out, err = run_cli(
+        capsys, "ext-length", "--generic", "-m", "3", "-n", "2", mode, "-d", "3", "-D", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} only applies to" in err
+
+
 def test_multiplicity_generic(capsys):
     record = run_json(capsys, "multiplicity", "--generic", "-m", "4", "-n", "3")
     results = record["results"]

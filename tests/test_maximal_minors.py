@@ -13,7 +13,7 @@ from detmult.maximal_minors import (
     nonvanishing_degrees,
     slice_length,
 )
-from oracles import count_monomials
+from oracles import count_monomials, generic_degrees_by_search
 
 M32 = GenericParams(3, 2)
 M43 = GenericParams(4, 3)
@@ -51,20 +51,23 @@ def test_nonvanishing_degrees_examples():
 
 
 def test_nonvanishing_degrees_structure():
-    for params in (M32, M43, M53, GenericParams(6, 2)):
-        m, n = params.m, params.n
-        top = params.finite_ext_degree
-        for d in range(1, 8):
-            degrees = nonvanishing_degrees(params, d)
-            assert all((1 - j) % (m - n) == 0 for j in degrees)
-            assert all(2 <= j <= top for j in degrees)
-            if d >= n:
-                assert degrees == {j for j in range(2, top + 1) if (1 - j) % (m - n) == 0}
+    for m in range(2, 14):
+        for n in range(1, m):
+            params = GenericParams(m, n)
+            top = params.finite_ext_degree
+            for d in range(1, 31):
+                degrees = nonvanishing_degrees(params, d)
+                assert degrees == generic_degrees_by_search(m, n, d), (m, n, d)
+                assert all((1 - j) % (m - n) == 0 for j in degrees)
+                assert all(2 <= j <= top for j in degrees)
+                if d >= n:
+                    assert degrees == {j for j in range(2, top + 1) if (1 - j) % (m - n) == 0}
 
 
 def test_nonvanishing_degrees_square_rejected():
-    with pytest.raises(ValueError):
-        nonvanishing_degrees(GenericParams(2, 2), 3)
+    for d in (3, 1, 0, -2):
+        with pytest.raises(ValueError, match="^cohomological degree classification requires m > n$"):
+            nonvanishing_degrees(GenericParams(2, 2), d)
 
 
 def test_classification_examples():

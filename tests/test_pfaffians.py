@@ -13,7 +13,7 @@ from detmult.pfaffians import (
     slice_length,
     slice_weight,
 )
-from oracles import count_monomials
+from oracles import count_monomials, pfaffian_degrees_by_search
 
 P1 = PfaffianParams(1)
 P2 = PfaffianParams(2)
@@ -48,10 +48,11 @@ def test_nonvanishing_degrees_examples():
 
 
 def test_degrees_are_odd_and_bounded():
-    for n in range(1, 5):
+    for n in range(1, 10):
         params = PfaffianParams(n)
-        for d in range(1, 10):
+        for d in range(1, 41):
             degrees = nonvanishing_degrees(params, d)
+            assert degrees == pfaffian_degrees_by_search(n, d), (n, d)
             assert degrees
             assert all(j % 2 == 1 and 3 <= j <= 2 * n + 1 for j in degrees)
 
