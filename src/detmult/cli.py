@@ -26,7 +26,6 @@ import time
 from fractions import Fraction
 from typing import Any
 
-from . import verify
 from .multiplicities import ConsistencyError, Family, build_report
 from .schur import weyl_dimension
 
@@ -151,6 +150,8 @@ def _cmd_multiplicity(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
+    from . import verify  # only this subcommand loads the suite
+
     try:
         checks = verify.run_checks(
             generic_max_m=args.generic_max_m,
@@ -177,8 +178,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, int]:
     family = _family_from_args(args, require_rectangular=False)
-    if args.d_from < 1 or args.d_to < 0:
-        raise UsageError("--d-from and --d-to expect powers >= 1")
+    if args.d_from < 1:
+        raise UsageError(f"--d-from expects a power >= 1, got {args.d_from}")
+    if args.d_to < 0:
+        raise UsageError(f"--d-to expects a power >= 0, got {args.d_to}")
     rows = []
     if args.d_to >= args.d_from:
         running = 0

@@ -34,9 +34,6 @@ the square-matrix Catalan values.
 
 from __future__ import annotations
 
-# Unused here: bench/tracer.py patches this module's ProcessPoolExecutor, so the
-# name stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .arith import determinant, exact_quotient, factorial
@@ -167,3 +164,17 @@ cumulative_length = GenericParams.cumulative_length
 length_classification = GenericParams.length_classification
 local_cohomology_index = GenericParams.local_cohomology_index
 nonvanishing_degrees = GenericParams.nonvanishing_degrees
+
+
+def __getattr__(name: str):
+    """Resolve ProcessPoolExecutor on first access (PEP 562).
+
+    Nothing here starts a pool; bench/tracer.py patches this name, so it
+    stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
+    Importing concurrent.futures lazily keeps multiprocessing out of start-up.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -110,6 +110,12 @@ def is_layer_index(
       1. some member x of the family satisfies truncate(x, c) <= partition and
          has at most level+1 columns past width c (conjugate(x)[c+1] <= level+1), and
       2. every member satisfying clause 1 has conjugate(x)[c+1] = level + 1.
+
+    Both are read off x directly: truncate(x, c) <= partition is
+    min(x_i, c) <= partition_i for every part, and conjugate(x)[c+1] is the
+    number of parts of x greater than c.  Together the clauses say that the
+    smallest such column height over the members with truncate(x, c) <=
+    partition is exactly level + 1.
     """
     if not ideal_partitions:
         raise ValueError("is_layer_index requires a nonempty family of partitions")
@@ -117,17 +123,12 @@ def is_layer_index(
         raise ValueError(f"level must be >= 0, got {level}")
     z = normalize(partition)
     c = part(z, 1)
-    column_heights = []
-    for x in ideal_partitions:
-        x = normalize(x)
-        if not contained_in(truncate(x, c), z):
-            continue
-        height = part(conjugate(x), c + 1)
-        if height <= level + 1:
-            column_heights.append(height)
-    if not column_heights:
-        return False
-    return all(h == level + 1 for h in column_heights)
+    heights = [
+        sum(1 for p in x if p > c)
+        for x in map(normalize, ideal_partitions)
+        if all(min(p, c) <= part(z, i) for i, p in enumerate(x, 1))
+    ]
+    return min(heights, default=0) == level + 1
 
 
 def maximal_minor_layers(n: int, d: int) -> list[LayerIndex]:

@@ -119,8 +119,9 @@ def _check_arith(suite: _Suite, quick: bool) -> None:
             )
             a = rng.randrange(-5, 6)
             summed = arith.poly_range_sum(poly, a)
+            direct = 0
             for b in range(a, a + 12):
-                direct = sum(poly(k) for k in range(a, b + 1))
+                direct += poly(b)
                 if summed(b) != direct:
                     yield f"expected {direct}, got {summed(b)} at a={a}, b={b}"
             if poly:

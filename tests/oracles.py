@@ -12,6 +12,8 @@ from functools import cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
+from detmult.partitions import conjugate, contained_in, normalize, part, truncate
+
 
 def count_ssyt_backtracking(shape: tuple[int, ...], n: int) -> int:
     """Count semistandard fillings of `shape` with entries in 1..n, cell by cell.
@@ -156,3 +158,31 @@ def pfaffian_degrees_by_search(n: int, d: int) -> set[int]:
         for c in range(d)
         for t in range(max(0, -((c - 2 * (n - 1)) // 2)), n)
     }
+
+
+def is_layer_index_by_diagrams(
+    ideal_partitions: list[tuple[int, ...]], partition: tuple[int, ...], level: int
+) -> bool:
+    """Layer membership by building truncate(x, c) and conjugate(x) for every member x.
+
+    c is the largest part of the partition.  The pair qualifies when some x
+    has truncate(x, c) inside the partition with conjugate(x)[c+1] <= level+1,
+    and every such x has conjugate(x)[c+1] = level+1.
+    """
+    if not ideal_partitions:
+        raise ValueError("is_layer_index requires a nonempty family of partitions")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    z = normalize(partition)
+    c = part(z, 1)
+    column_heights = []
+    for x in ideal_partitions:
+        x = normalize(x)
+        if not contained_in(truncate(x, c), z):
+            continue
+        height = part(conjugate(x), c + 1)
+        if height <= level + 1:
+            column_heights.append(height)
+    if not column_heights:
+        return False
+    return all(h == level + 1 for h in column_heights)

@@ -257,6 +257,20 @@ def test_sweep_starts_midway(capsys):
     assert rows[1]["cumulative_length"] == "50"
 
 
+@pytest.mark.parametrize(
+    "d_from, d_to, message",
+    [
+        ("0", "4", "error: --d-from expects a power >= 1, got 0\n"),
+        ("1", "-1", "error: --d-to expects a power >= 0, got -1\n"),
+    ],
+)
+def test_sweep_bound_names_the_flag(capsys, d_from, d_to, message):
+    code, out, err = run_cli(
+        capsys, "sweep", "--generic", "-m", "3", "-n", "2", "--d-from", d_from, "--d-to", d_to
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_csv_rejected_outside_sweep(capsys):
     code, _, err = run_cli(
         capsys, "multiplicity", "--generic", "-m", "3", "-n", "2", "--format", "csv"
@@ -381,3 +395,26 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["results"]["j_multiplicity"] == "1"
+
+
+STARTUP_PROBE = """
+import sys
+import detmult.cli
+print(sorted(m for m in ("concurrent.futures", "multiprocessing", "detmult.verify") if m in sys.modules))
+import concurrent.futures
+from detmult import maximal_minors, pfaffians
+print(maximal_minors.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+print(pfaffians.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+try:
+    maximal_minors.NoSuchName
+except AttributeError:
+    print("AttributeError")
+"""
+
+
+def test_startup_loads_neither_the_pool_nor_the_verify_suite():
+    # every subcommand is a fresh process, so what importing the CLI loads is
+    # paid on every call; the pool class still resolves on first access
+    proc = run_python("-c", STARTUP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "True", "AttributeError"]

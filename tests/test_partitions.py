@@ -17,6 +17,7 @@ from detmult.partitions import (
     truncate,
     weakly_decreasing_tuples,
 )
+from oracles import is_layer_index_by_diagrams
 
 partition_st = st.lists(st.integers(min_value=0, max_value=6), max_size=6).map(
     lambda parts: normalize(sorted(parts, reverse=True))
@@ -129,6 +130,27 @@ def test_is_layer_index_examples():
 def test_is_layer_index_empty_family_rejected():
     with pytest.raises(ValueError):
         is_layer_index([], (1,), 0)
+
+
+def test_is_layer_index_negative_level_rejected():
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        is_layer_index([(1,)], (1,), -1)
+
+
+def test_is_layer_index_matches_diagram_reference():
+    # every n <= 5, p <= n, d <= 6, partition z with at most n parts and
+    # z_1 <= d, and level <= n (one past the largest level that can qualify)
+    points = 0
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            for d in range(1, 7):
+                family = box_partitions(p * d, n, d)
+                for z in weakly_decreasing_tuples(n, d):
+                    for level in range(n + 1):
+                        want = is_layer_index_by_diagrams(family, z, level)
+                        assert is_layer_index(family, z, level) is want, (n, p, d, z, level)
+                        points += 1
+    assert points == 39_970
 
 
 def test_maximal_minor_layers_examples():

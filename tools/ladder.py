@@ -3,8 +3,12 @@
     python3 tools/ladder.py --base 87bf104 --repeats 3 > BENCH_6.json
 
 ``git archive`` extracts ``src/`` of the base revision into a temporary
-directory; the working tree's ``src/`` is the other side.  Every measurement
-runs in a fresh interpreter, and the two sides alternate which goes first.
+directory; a copy of the working tree's ``src/`` without its ``__pycache__``
+directories is the other side.  Every measurement runs in a fresh
+interpreter with ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile
+detmult from source in every process, as ``bench/run.py`` does on a fresh
+checkout, while the standard library keeps its installed bytecode.  The two
+sides alternate which goes first.
 Library rows time one call after import: ``build_report(family)``, or
 ``slice_length`` at the k+2 nodes ``build_report`` evaluates.  CLI rows time
 the whole ``python -m detmult.cli`` process, start-up included.  A side that
@@ -18,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,10 @@ LIBRARY_ROWS = [
     ("pfaffian(7), nodes", ["pfaffian", 7], "nodes"),
 ]
 CLI_ROWS = [
+    ("CLI schur-dim --weight 9,7,5,3,1,0 --dim 8",
+     ["schur-dim", "--weight", "9,7,5,3,1,0", "--dim", "8", "--no-timing"]),
+    ("CLI multiplicity --generic -m 10 -n 3",
+     ["multiplicity", "--generic", "-m", "10", "-n", "3", "--no-timing"]),
     ("CLI verify --quick", ["verify", "--quick", "--no-timing"]),
     ("CLI verify", ["verify", "--no-timing"]),
     ("CLI verify --generic-max-m 12 --pfaffian-max-n 4",
@@ -66,7 +75,8 @@ print(time.perf_counter() - t0)
 
 
 def measure(src: Path, row: tuple, timeout: float) -> float | None:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)  # a cache kept elsewhere would be read too
     if len(row) == 3:
         argv = [sys.executable, "-c", CHILD, json.dumps([row[1], row[2]])]
     else:
@@ -90,9 +100,11 @@ def main() -> int:
     args = parser.parse_args()
     rows = LIBRARY_ROWS + CLI_ROWS
     with tempfile.TemporaryDirectory() as tmp:
+        sides = {"base": Path(tmp) / "base" / "src", "change": Path(tmp) / "change" / "src"}
+        sides["base"].parent.mkdir()
         archive = subprocess.run(["git", "archive", args.base, "src"], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        sides = {"base": Path(tmp) / "src", "change": ROOT / "src"}
+        subprocess.run(["tar", "-x", "-C", sides["base"].parent], input=archive.stdout, check=True)
+        shutil.copytree(ROOT / "src", sides["change"], ignore=shutil.ignore_patterns("__pycache__"))
         times = {name: {row[0]: [] for row in rows} for name in sides}
         for repeat in range(args.repeats):
             order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
