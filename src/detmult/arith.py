@@ -5,6 +5,11 @@ factorials, Bernoulli numbers, Faulhaber power-sum polynomials, range
 summation of polynomials, exact Newton interpolation, and fraction-free
 determinants and Pfaffians of integer matrices.  No floating point appears
 anywhere; every operation is exact.
+
+``RationalPolynomial`` is a plain value; the algorithms that build
+polynomials work on coefficient lists.  ``exact_quotient`` is the one
+integrality check, shared by the eliminations, the slice kernels,
+``weyl_dimension`` and the integer oracles.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def bernoulli(k: int) -> Fraction:
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial with exact rational coefficients, as a value.
 
     Coefficients are stored ascending by power with trailing zeros stripped,
     so the zero polynomial has no coefficients and degree -1, and a nonzero
@@ -83,61 +88,19 @@ class RationalPolynomial:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Rational) -> "RationalPolynomial":
-        return cls((value,))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
-            return Fraction(0)
-        return self.coefficients[-1]
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return Fraction(0)
+        return self.coefficients[-1] if self.coefficients else Fraction(0)
 
     def __call__(self, x: Rational) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(-c for c in self.coefficients)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalPolynomial | Rational") -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self.coefficients)
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    def __rmul__(self, other: Rational) -> "RationalPolynomial":
-        return self * other
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
@@ -155,7 +118,7 @@ class RationalPolynomial:
             return "RationalPolynomial(0)"
         terms = []
         for power in range(self.degree, -1, -1):
-            c = self.coefficient(power)
+            c = self.coefficients[power]
             if c == 0:
                 continue
             if power == 0:
@@ -189,13 +152,15 @@ def poly_range_sum(f: RationalPolynomial, a: int) -> RationalPolynomial:
     F(b) - F(b-1) = f(b) holds for all integers, so negative values of a are
     handled exactly as well.
     """
-    total = RationalPolynomial.zero()
+    total = [Fraction(0)] * (len(f.coefficients) + 1)
     for power, c in enumerate(f.coefficients):
-        total = total + c * faulhaber_polynomial(power)
-    return total - RationalPolynomial.constant(total(a - 1))
+        for i, t in enumerate(faulhaber_polynomial(power).coefficients):
+            total[i] += c * t
+    total[0] -= RationalPolynomial(total)(a - 1)
+    return RationalPolynomial(total)
 
 
-def interpolate(points: Sequence[tuple[int, Rational]]) -> RationalPolynomial:
+def interpolate(points: Sequence[tuple[Rational, Rational]]) -> RationalPolynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
     Uses exact Newton divided differences over the rationals.  Abscissae must
@@ -211,11 +176,14 @@ def interpolate(points: Sequence[tuple[int, Rational]]) -> RationalPolynomial:
     for level in range(1, npts):
         for i in range(npts - 1, level - 1, -1):
             coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form back to monomial coefficients.
-    poly = RationalPolynomial.constant(coefs[-1])
+    # Horner expansion of the Newton form: multiply by (x - xs[k]), add coefs[k].
+    poly = [coefs[-1]]
     for k in range(npts - 2, -1, -1):
-        poly = poly * RationalPolynomial((-xs[k], 1)) + RationalPolynomial.constant(coefs[k])
-    return poly
+        poly.append(poly[-1])
+        for i in range(len(poly) - 2, 0, -1):
+            poly[i] = poly[i - 1] - xs[k] * poly[i]
+        poly[0] = coefs[k] - xs[k] * poly[0]
+    return RationalPolynomial(poly)
 
 
 def exact_quotient(numerator: int, denominator: int, what: str) -> int:

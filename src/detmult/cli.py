@@ -9,7 +9,7 @@ and a format the subcommand lacks is refused before any computation.
 ``--format`` takes precedence over the ``DETMULT_FORMAT`` environment
 variable, which takes precedence over the default.  ``--jobs N`` is accepted
 and ignored; it goes when the benchmark stops patching the slice modules'
-process pool (ROADMAP item 2).
+process pool (ROADMAP item 1, "Benchmark v2").
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 consistency error.

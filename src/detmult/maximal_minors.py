@@ -130,7 +130,7 @@ def _moment_denominator(m: int, n: int) -> int:
     return out
 
 
-# jobs: unused; bench/tracer.py calls this positionally (ROADMAP item 2).
+# jobs: unused; bench/tracer.py calls it positionally (ROADMAP item 1, "Benchmark v2").
 def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
@@ -170,7 +170,8 @@ def __getattr__(name: str):
     """Resolve ProcessPoolExecutor on first access (PEP 562).
 
     Nothing here starts a pool; bench/tracer.py patches this name, so it
-    stays until the benchmark drops that patch with --jobs (ROADMAP item 2).
+    stays until the benchmark drops that patch with --jobs (ROADMAP item 1,
+    "Benchmark v2").
     Importing concurrent.futures lazily keeps multiprocessing out of start-up.
     """
     if name == "ProcessPoolExecutor":

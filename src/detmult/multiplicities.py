@@ -18,18 +18,24 @@ real correctness signal comes from the independent oracles:
   * counts of (shifted) standard tableaux,
   * the Selberg-integral route with its explicit constant.
 
-All five routes must agree exactly, as rationals, with denominator 1.  For
-the generic family only four of them are independent: until the Grassmannian
-gets a route of its own (ROADMAP item 4), grassmannian_degree(n, m+n)
-evaluates the same product of factorials as closed_form_generic(m, n).
+All five routes must agree exactly, as rationals, with denominator 1.  Each
+integer oracle divides one integer numerator by one integer denominator
+through arith.exact_quotient, which raises ConsistencyError on a remainder,
+also under python -O.  For the generic family only four routes are
+independent: until the Grassmannian gets a route of its own (ROADMAP item 2,
+"Every length is a Grassmannian Hilbert-function value"),
+grassmannian_degree(n, m+n) evaluates the same product of factorials as
+closed_form_generic(m, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
-from .arith import ConsistencyError, RationalPolynomial, factorial, interpolate, poly_range_sum
+from .arith import ConsistencyError, RationalPolynomial, exact_quotient, factorial, interpolate, poly_range_sum
 from .family import Family
 from .maximal_minors import GenericParams
 
@@ -51,13 +57,6 @@ __all__ = [
     "slice_polynomial",
     "standard_tableaux_rectangle",
 ]
-
-
-def _integer(value: Fraction, what: str) -> int:
-    """The numerator of an integral value; a fractional one is a bug, never a result."""
-    if value.denominator != 1:
-        raise ConsistencyError(f"{what} is not an integer: {value}")
-    return value.numerator
 
 
 def slice_polynomial(family: Family) -> RationalPolynomial:
@@ -104,10 +103,9 @@ def closed_form_generic(m: int, n: int) -> int:
     """(mn)! * prod_{i=0}^{n-1} i! / (m+i)!, the generic-family multiplicity."""
     if not m >= n >= 1:
         raise ValueError(f"closed_form_generic requires m >= n >= 1, got m={m}, n={n}")
-    value = Fraction(factorial(m * n))
-    for i in range(n):
-        value *= Fraction(factorial(i), factorial(m + i))
-    return _integer(value, f"closed_form_generic({m}, {n})")
+    num = factorial(m * n) * prod(factorial(i) for i in range(n))
+    den = prod(factorial(m + i) for i in range(n))
+    return exact_quotient(num, den, f"closed_form_generic({m}, {n})")
 
 
 def grassmannian_degree(a: int, b: int) -> int:
@@ -118,20 +116,18 @@ def grassmannian_degree(a: int, b: int) -> int:
     """
     if not 0 < a < b:
         raise ValueError(f"grassmannian_degree requires 0 < a < b, got a={a}, b={b}")
-    value = Fraction(factorial(a * (b - a)))
-    for i in range(a):
-        value *= Fraction(factorial(i), factorial(b - a + i))
-    return _integer(value, f"grassmannian_degree({a}, {b})")
+    num = factorial(a * (b - a)) * prod(factorial(i) for i in range(a))
+    den = prod(factorial(b - a + i) for i in range(a))
+    return exact_quotient(num, den, f"grassmannian_degree({a}, {b})")
 
 
 def closed_form_pfaffian(n: int) -> int:
     """(2n^2+n)! * prod_{i=0}^{n-1} (2i)! / (2n+1+2i)!, the pfaffian multiplicity."""
     if n < 1:
         raise ValueError(f"closed_form_pfaffian requires n >= 1, got {n}")
-    value = Fraction(factorial(2 * n * n + n))
-    for i in range(n):
-        value *= Fraction(factorial(2 * i), factorial(2 * n + 1 + 2 * i))
-    return _integer(value, f"closed_form_pfaffian({n})")
+    num = factorial(2 * n * n + n) * prod(factorial(2 * i) for i in range(n))
+    den = prod(factorial(2 * n + 1 + 2 * i) for i in range(n))
+    return exact_quotient(num, den, f"closed_form_pfaffian({n})")
 
 
 def orthogonal_grassmannian_degree(a: int) -> int:
@@ -142,14 +138,9 @@ def orthogonal_grassmannian_degree(a: int) -> int:
     """
     if a < 1:
         raise ValueError(f"orthogonal_grassmannian_degree requires a >= 1, got {a}")
-    num = 1
-    for i in range(1, a):
-        num *= factorial(i)
-    den = 1
-    for i in range(1, 2 * a, 2):
-        den *= factorial(i)
-    value = Fraction(factorial(a * (a + 1) // 2) * num, den)
-    return _integer(value, f"orthogonal_grassmannian_degree({a})")
+    num = factorial(a * (a + 1) // 2) * prod(factorial(i) for i in range(1, a))
+    den = prod(factorial(i) for i in range(1, 2 * a, 2))
+    return exact_quotient(num, den, f"orthogonal_grassmannian_degree({a})")
 
 
 def standard_tableaux_rectangle(m: int, n: int) -> int:
@@ -161,12 +152,8 @@ def standard_tableaux_rectangle(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError(f"standard_tableaux_rectangle requires m, n >= 1, got {m}, {n}")
-    hooks = 1
-    for i in range(m):
-        for j in range(n):
-            hooks *= (n - j) + (m - i) - 1
-    value = Fraction(factorial(m * n), hooks)
-    return _integer(value, f"standard_tableaux_rectangle({m}, {n})")
+    hooks = prod((n - j) + (m - i) - 1 for i in range(m) for j in range(n))
+    return exact_quotient(factorial(m * n), hooks, f"standard_tableaux_rectangle({m}, {n})")
 
 
 def shifted_tableaux_staircase(a: int) -> int:
@@ -178,14 +165,10 @@ def shifted_tableaux_staircase(a: int) -> int:
     """
     if a < 1:
         raise ValueError(f"shifted_tableaux_staircase requires a >= 1, got {a}")
-    parts = list(range(a, 0, -1))
-    value = Fraction(factorial(a * (a + 1) // 2))
-    for p in parts:
-        value /= factorial(p)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            value *= Fraction(parts[i] - parts[j], parts[i] + parts[j])
-    return _integer(value, f"shifted_tableaux_staircase({a})")
+    pairs = list(combinations(range(a, 0, -1), 2))
+    num = factorial(a * (a + 1) // 2) * prod(p - q for p, q in pairs)
+    den = prod(factorial(p) for p in range(1, a + 1)) * prod(p + q for p, q in pairs)
+    return exact_quotient(num, den, f"shifted_tableaux_staircase({a})")
 
 
 def selberg_integral(n: int, a: int, b: int, c: int) -> Fraction:
@@ -261,7 +244,7 @@ class MultiplicityReport:
     all_agree: bool
 
 
-# jobs: unused; bench/tracer.py calls this positionally (ROADMAP item 2).
+# jobs: unused; bench/tracer.py calls it positionally (ROADMAP item 1, "Benchmark v2").
 def build_report(family: Family, jobs: int | None = None) -> MultiplicityReport:
     """Run the interpolation route and every applicable oracle for a family.
 

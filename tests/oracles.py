@@ -106,6 +106,29 @@ def direct_power_sum(p: int, b: int) -> int:
     return sum(k**p for k in range(1, b + 1))
 
 
+def lagrange_coefficients(points: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, ...]:
+    """Ascending monomial coefficients of the interpolant, from the Lagrange basis.
+
+    Sums y_i * prod_{j != i} (x - x_j) / (x_i - x_j) over the points, each
+    basis polynomial expanded one linear factor at a time; trailing zeros are
+    stripped.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    total = [Fraction(0)] * len(points)
+    for i, (_, y) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(y)
+        for j, xj in enumerate(xs):
+            if j != i:
+                shifted = [Fraction(0)] + basis  # x * basis
+                basis = [s - xj * b for s, b in zip(shifted, basis + [Fraction(0)])]
+                scale /= xs[i] - xj
+        for power, c in enumerate(basis):
+            total[power] += scale * c
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
 def determinant_by_permutations(matrix: list[list[int]]) -> int:
     """Leibniz expansion: the signed sum over all permutations."""
     size = len(matrix)

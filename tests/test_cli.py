@@ -157,18 +157,40 @@ def test_multiplicity_internal_error_exits_3(capsys, monkeypatch):
     assert "consistency" in err
 
 
-def test_non_integral_oracle_exits_3_under_optimize():
-    # assert statements vanish under -O; the integrality check must not
+GENERIC_3_2 = ["--generic", "-m", "3", "-n", "2"]  # every generic oracle's numerator holds 6!
+PFAFFIAN_2 = ["--pfaffian", "-n", "2"]  # every pfaffian oracle's numerator holds 10!
+INTEGER_ORACLES = [
+    ("closed_form_generic", "(3, 2)", GENERIC_3_2, 6),
+    ("grassmannian_degree", "(2, 5)", GENERIC_3_2, 6),
+    ("standard_tableaux_rectangle", "(3, 2)", GENERIC_3_2, 6),
+    ("closed_form_pfaffian", "(2)", PFAFFIAN_2, 10),
+    ("orthogonal_grassmannian_degree", "(4)", PFAFFIAN_2, 10),
+    ("shifted_tableaux_staircase", "(4)", PFAFFIAN_2, 10),
+]
+
+
+@pytest.mark.parametrize("oracle,args,argv,top", INTEGER_ORACLES, ids=[case[0] for case in INTEGER_ORACLES])
+def test_non_integral_oracle_exits_3_under_optimize(oracle, args, argv, top):
+    # assert statements vanish under -O; the integrality check must not.  Only
+    # the oracle under test sees top! off by one, so the oracles that
+    # build_report calls before it still pass
     script = (
         "import math, sys\n"
         "import detmult.multiplicities as mu\n"
         "from detmult.cli import main\n"
-        "mu.factorial = lambda k: math.factorial(k) + (k == 6)  # 6! feeds closed_form_generic(3, 2)\n"
-        "sys.exit(main(['multiplicity', '--generic', '-m', '3', '-n', '2', '--no-timing']))\n"
+        f"real, oracle = mu.factorial, mu.{oracle}\n"
+        "def broken(*args):\n"
+        f"    mu.factorial = lambda k: math.factorial(k) + (k == {top})\n"
+        "    try:\n"
+        "        return oracle(*args)\n"
+        "    finally:\n"
+        "        mu.factorial = real\n"
+        f"mu.{oracle} = broken\n"
+        f"sys.exit(main(['multiplicity', *{argv!r}, '--no-timing']))\n"
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert "closed_form_generic(3, 2) is not an integer" in proc.stderr
+    assert f"{oracle}{args}: " in proc.stderr and "is not an integer" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize(
