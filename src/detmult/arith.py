@@ -3,12 +3,16 @@
 Arbitrary-precision integers and rationals (``int`` / ``fractions.Fraction``),
 factorials, Bernoulli numbers, Faulhaber power-sum polynomials, range
 summation of polynomials, exact Newton interpolation, and fraction-free
-determinants and Pfaffians of integer matrices.  No floating point appears
-anywhere; every operation is exact.
+determinants of integer matrices.  No floating point appears anywhere; every
+operation is exact.
+
+There is no Pfaffian routine: for skew-symmetric A, Cayley's identity
+det A = Pf(A)^2 gives |Pf(A)| = isqrt(det A), all that the pfaffian slice
+kernel needs, since the length it computes is nonnegative.
 
 ``RationalPolynomial`` is a plain value; the algorithms that build
 polynomials work on coefficient lists.  ``exact_quotient`` is the one
-integrality check, shared by the eliminations, the slice kernels,
+integrality check, shared by the elimination, the slice kernels,
 ``weyl_dimension`` and the integer oracles.
 """
 
@@ -31,7 +35,6 @@ __all__ = [
     "factorial",
     "faulhaber_polynomial",
     "interpolate",
-    "pfaffian",
     "poly_range_sum",
 ]
 
@@ -227,42 +230,3 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
         prev = pivot
     return sign * a[-1][-1] if size else 1
 
-
-def pfaffian(matrix: Sequence[Sequence[int]]) -> int:
-    """Pfaffian of a skew-symmetric integer matrix by skew Schur-complement elimination.
-
-    Each step eliminates the leading pair of indices (k, k+1) against the
-    pivot a[k][k+1].  Kept fraction-free, the entry (i, j) after the step is
-    the Pfaffian of the principal submatrix on {0, ..., k+1, i, j}, so the
-    division by the previous pivot is exact (the Pfaffian form of Sylvester's
-    identity), and the last pivot is the Pfaffian itself.  A zero pivot is
-    replaced by swapping index k+1 with the first later index j having
-    a[k][j] != 0, which flips the sign; if there is none the Pfaffian is 0.
-    Odd sizes give 0 and the empty matrix gives 1.
-    """
-    a = [list(row) for row in matrix]
-    size = len(a)
-    if any(len(row) != size for row in a):
-        raise ValueError("pfaffian requires a square matrix")
-    if any(a[i][j] != -a[j][i] for i in range(size) for j in range(i, size)):
-        raise ValueError("pfaffian requires a skew-symmetric matrix")
-    if size % 2:
-        return 0
-    sign, prev = 1, 1
-    for k in range(0, size, 2):
-        if a[k][k + 1] == 0:
-            swap = next((j for j in range(k + 2, size) if a[k][j]), None)
-            if swap is None:
-                return 0
-            a[k + 1], a[swap] = a[swap], a[k + 1]
-            for row in a:
-                row[k + 1], row[swap] = row[swap], row[k + 1]
-            sign = -sign
-        pivot, first, second = a[k][k + 1], a[k], a[k + 1]
-        for i in range(k + 2, size):
-            for j in range(i + 1, size):
-                step = pivot * a[i][j] - first[i] * second[j] + first[j] * second[i]
-                a[i][j] = exact_quotient(step, prev, "Pfaffian step")
-                a[j][i] = -a[i][j]
-        prev = pivot
-    return sign * prev

@@ -7,9 +7,7 @@ consumers never overflow 64-bit integers; ``--format table`` renders aligned
 columns.  Each subparser declares its renderers; only ``sweep`` renders csv,
 and a format the subcommand lacks is refused before any computation.
 ``--format`` takes precedence over the ``DETMULT_FORMAT`` environment
-variable, which takes precedence over the default.  ``--jobs N`` is accepted
-and ignored; it goes when the benchmark stops patching the slice modules'
-process pool (ROADMAP item 1, "Benchmark v2").
+variable, which takes precedence over the default.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 consistency error.
@@ -257,7 +255,6 @@ FLAT_RENDER = {"json": _render_json, "table": _render_flat_table}
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    parser.add_argument("--jobs", type=int, default=None, help="accepted and ignored (to be removed)")
     parser.add_argument("--no-timing", action="store_true", help="omit timing_ms from the record")
 
 

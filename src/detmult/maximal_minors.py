@@ -167,12 +167,10 @@ nonvanishing_degrees = GenericParams.nonvanishing_degrees
 
 
 def __getattr__(name: str):
-    """Resolve ProcessPoolExecutor on first access (PEP 562).
+    """Resolve ProcessPoolExecutor lazily (PEP 562), keeping multiprocessing out of start-up.
 
-    Nothing here starts a pool; bench/tracer.py patches this name, so it
-    stays until the benchmark drops that patch with --jobs (ROADMAP item 1,
-    "Benchmark v2").
-    Importing concurrent.futures lazily keeps multiprocessing out of start-up.
+    Nothing here starts a pool; bench/tracer.py patches this name until the
+    benchmark drops that patch (ROADMAP item 1, "Benchmark v2").
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor

@@ -19,23 +19,29 @@ delta contribute delta^2 (delta^2 - 1), which vanishes for overlapping
 pairs, and each free pair contributes omega_d(z) = z(z+1)(d-z)^2((d-z)^2-1)
 against the pinned points.  De Bruijn's Pfaffian identity (1955) turns the
 sum over sets of free pairs into the Pfaffian of the skew moment matrix
+A_ij = B_ij - B_ji (0 <= i, j < 2n-2), z running over 1..d-2 in
 
-    A_ij = sum_{z=1}^{d-2} omega_d(z) ((z+1)^i z^j - z^i (z+1)^j),  0 <= i, j < 2n-2,
+    B_ij = sum_z omega_d(z) (z+1)^i z^j = sum_{a<=i} C(i, a) M_(a+j),  M_r = sum_z omega_d(z) z^r,
 
     slice(d) = (-1)^(n-1) d(d+1) Pf(A) / prod_{1<=p<q<=2n+1} (q-p).
 
-That is O(d n^2) big-integer work per power instead of a tuple count growing
-like d^(n-1).  For n = 1 the Pfaffian is empty and the formula is d(d+1)/2.
-``PfaffianParams.reference_slice_length`` keeps the tuple sum itself as the
-independent route that ``verify`` and the tests compare against.
+By Cayley's identity det A = Pf(A)^2; the slice is a length, hence
+nonnegative, so slice(d) = d(d+1) isqrt(det A) / prod (q-p), the determinant
+coming from the generic kernel's Bareiss elimination (a non-square raises
+ConsistencyError).  That is O(d n) big-integer work per power for the moments
+plus one elimination of size 2n-2, not a tuple count growing like d^(n-1).
+For n = 1 the matrix is empty and the formula is d(d+1)/2.  The tuple sum
+itself is ``PfaffianParams.reference_slice_length``, the independent route
+that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
-from .arith import exact_quotient, factorial, pfaffian
+from .arith import ConsistencyError, determinant, exact_quotient, factorial
 from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
@@ -149,27 +155,31 @@ def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
     Zero for d < 2n-1; exactly 1 at d = 2n-1, where the only summand is a
-    constant weight.  Computed as the Pfaffian of moments described in the
-    module docstring; the final division is checked to be exact.
+    constant weight.  Computed from the skew moment determinant described in
+    the module docstring; the square root and the division are checked.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
     n = params.n
     if d < params.first_finite_power:
         return 0
-    size = 2 * n - 2
-    upper = [[0] * size for _ in range(size)]
+    moments = [0] * max(4 * n - 5, 0)
     for z in range(1, d - 1):
         y = d - z
-        omega = z * (z + 1) * y * y * (y * y - 1)
-        low = [z**i for i in range(size)]
-        high = [(z + 1) ** i for i in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                upper[i][j] += omega * (high[i] * low[j] - low[i] * high[j])
-    moments = [[upper[i][j] if i < j else -upper[j][i] for j in range(size)] for i in range(size)]
-    numerator = (-1) ** (n - 1) * d * (d + 1) * pfaffian(moments)
-    return exact_quotient(numerator, _moment_denominator(n), f"{params.label} slice at d={d}")
+        term = z * (z + 1) * y * y * (y * y - 1)  # omega_d(z)
+        for r in range(len(moments)):
+            moments[r] += term
+            term *= z
+    size = 2 * n - 2
+    shifted = [moments]  # row i holds B_ij; Pascal's rule gives B_(i+1)j = B_ij + B_i(j+1)
+    for _ in range(size - 1):
+        shifted.append([a + b for a, b in zip(shifted[-1], shifted[-1][1:])])
+    square = determinant([[shifted[i][j] - shifted[j][i] for j in range(size)] for i in range(size)])
+    what = f"{params.label} slice at d={d}"
+    root = isqrt(max(square, 0))
+    if root * root != square:
+        raise ConsistencyError(f"{what}: determinant {square} is not a perfect square")
+    return exact_quotient(d * (d + 1) * root, _moment_denominator(n), what)
 
 
 # Module-level spellings of the members, taking the params as first argument.
@@ -180,12 +190,10 @@ nonvanishing_degrees = PfaffianParams.nonvanishing_degrees
 
 
 def __getattr__(name: str):
-    """Resolve ProcessPoolExecutor on first access (PEP 562).
+    """Resolve ProcessPoolExecutor lazily (PEP 562), keeping multiprocessing out of start-up.
 
-    Nothing here starts a pool; bench/tracer.py patches this name, so it
-    stays until the benchmark drops that patch with --jobs (ROADMAP item 1,
-    "Benchmark v2").
-    Importing concurrent.futures lazily keeps multiprocessing out of start-up.
+    Nothing here starts a pool; bench/tracer.py patches this name until the
+    benchmark drops that patch (ROADMAP item 1, "Benchmark v2").
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor

@@ -105,7 +105,10 @@ def _check_arith(suite: _Suite, quick: bool) -> None:
             coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(degree + 1)]
             coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else Fraction(1)
             poly = arith.RationalPolynomial(coeffs)
-            back = arith.interpolate([(x, poly(x)) for x in range(poly.degree + 1)])
+            # signed half-integers, distinct in absolute value, in shuffled order
+            xs = sorted(Fraction(rng.choice((-1, 1)) * (2 * v + 1), 2) for v in rng.sample(range(30), degree + 1))
+            rng.shuffle(xs)
+            back = arith.interpolate([(x, poly(x)) for x in xs])
             if back != poly:
                 yield f"expected {poly}, got {back}"
 

@@ -175,7 +175,7 @@ def test_rejects_nonpositive_power():
         nonvanishing_degrees(P2, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_slice_length_matches_enumeration(n):
     params = PfaffianParams(n)
     first = params.first_finite_power

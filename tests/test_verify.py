@@ -1,5 +1,6 @@
 import pytest
 
+import detmult.arith
 import detmult.maximal_minors
 import detmult.multiplicities
 import detmult.pfaffians
@@ -91,3 +92,13 @@ def test_wrong_slice_kernel_fails_telescoping(monkeypatch, module, check):
     result = {c.name: c for c in run_checks(quick=True)}[check]
     assert not result.passed
     assert "d=5" in result.detail, result.detail
+
+
+def test_interpolation_roundtrip_fails_on_mirrored_abscissae(monkeypatch):
+    # an interpolate that reads |x| agrees with the true one at x >= 0 only,
+    # so the check must sample negative abscissae to catch it
+    real = detmult.arith.interpolate
+    monkeypatch.setattr(detmult.arith, "interpolate", lambda points: real([(abs(x), y) for x, y in points]))
+    result = {c.name: c for c in run_checks(quick=True)}["interpolation-roundtrip"]
+    assert not result.passed
+    assert result.detail.startswith("expected RationalPolynomial("), result.detail

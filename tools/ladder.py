@@ -14,6 +14,11 @@ Library rows time one call after import: ``build_report(family)``, or
 the whole ``python -m detmult.cli`` process, start-up included.  A side that
 exceeds --timeout on a row is not run on that row again.  The JSON record
 goes to stdout.
+
+Each side of a row reports its median and quartiles (inclusive method, so
+with 5 runs q1 and q3 are the second and fourth fastest).  ``speedup`` is
+the ratio of the medians; a row whose two quartile ranges overlap is marked
+``"unresolved": true``, because its runs cannot tell the sides apart.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ LIBRARY_ROWS = [
     ("generic(30,6), nodes", ["generic", 30, 6], "nodes"),
     ("pfaffian(6), nodes", ["pfaffian", 6], "nodes"),
     ("pfaffian(7), nodes", ["pfaffian", 7], "nodes"),
+    ("pfaffian(10), nodes", ["pfaffian", 10], "nodes"),
 ]
 CLI_ROWS = [
     ("CLI schur-dim --weight 9,7,5,3,1,0 --dim 8",
@@ -92,6 +98,26 @@ def measure(src: Path, row: tuple, timeout: float) -> float | None:
     return float(proc.stdout) if len(row) == 3 else wall
 
 
+def spread(runs: list[float]) -> dict:
+    """Median, quartiles and the runs themselves, in seconds."""
+    if len(runs) == 1:  # statistics.quantiles needs two points
+        runs = runs * 2
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": runs}
+
+
+def summarize(name: str, times: dict[str, list[float | None]], timeout: float) -> dict:
+    """One ladder row: each side's spread, the speedup of the medians, and whether it is resolved."""
+    entry: dict = {"row": name}
+    for side, runs in times.items():
+        entry[side] = f"over {timeout:g} s (not finished)" if None in runs else spread(runs)
+    base, change = entry["base"], entry["change"]
+    if isinstance(base, dict) and isinstance(change, dict):
+        entry["speedup"] = base["median_s"] / change["median_s"]
+        entry["unresolved"] = base["q1_s"] <= change["q3_s"] and change["q1_s"] <= base["q3_s"]
+    return entry
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree against")
@@ -113,18 +139,7 @@ def main() -> int:
                     runs = times[name][row[0]]
                     if None not in runs:
                         runs.append(measure(sides[name], row, args.timeout))
-    out = []
-    for row in rows:
-        entry = {"row": row[0]}
-        for name in sides:
-            runs = times[name][row[0]]
-            if None in runs:
-                entry[name] = f"over {args.timeout:g} s (not finished)"
-            else:
-                entry[name] = {"median_s": statistics.median(runs), "runs_s": runs}
-        if all(isinstance(entry[name], dict) for name in sides):
-            entry["speedup"] = entry["base"]["median_s"] / entry["change"]["median_s"]
-        out.append(entry)
+    out = [summarize(row[0], {name: times[name][row[0]] for name in sides}, args.timeout) for row in rows]
     record = {
         "command": f"python3 tools/ladder.py --base {args.base} --repeats {args.repeats} --timeout {args.timeout:g}",
         "base": args.base,
