@@ -137,7 +137,7 @@ def _cmd_multiplicity(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "family": family.kind,
         "ring_dimension": _fmt(family.ring_dimension),
         "finite_ext_degree": _fmt(family.finite_ext_degree),
-        "local_cohomology_degree": _fmt(report.local_cohomology_degree),
+        "local_cohomology_degree": _fmt(family.finite_cohomology_degree),
         "slice_polynomial": [_fmt(c) for c in report.slice_polynomial.coefficients],
         "j_multiplicity": _fmt(report.j_multiplicity),
         "epsilon_multiplicity": _fmt(report.epsilon_multiplicity),

@@ -2,18 +2,22 @@
 
 ``GenericParams`` (maximal minors, in ``maximal_minors``) and
 ``PfaffianParams`` (sub-maximal pfaffians, in ``pfaffians``) are the two
-implementations of ``Family``.  Each supplies its name, its parameters, the
-ring dimension, the finite Ext degree, the first power with a finite nonzero
-slice, the slice length (a fast kernel and an enumeration reference) and the
-set of nonvanishing degrees.  Everything derived from those, such as local
-duality, the zero/finite/infinite classification and the cumulative length,
-is defined here once.
+implementations of ``Family``, and every fact that tells the families apart
+lives in them: the ring dimension, the finite Ext degree, the first power with
+a finite nonzero slice, the slice length (a fast kernel and an enumeration
+reference), the set of nonvanishing degrees and the table of closed-form
+multiplicity oracles.  Everything derived from those is defined here once:
+the label and CLI parameters (from the dataclass fields), local duality, the
+zero/finite/infinite classification and the cumulative length.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from dataclasses import fields
+from fractions import Fraction
+from functools import cached_property
 
 __all__ = ["Family", "LengthClassification"]
 
@@ -27,8 +31,9 @@ class LengthClassification(enum.Enum):
 class Family(ABC):
     """One thickening family with its parameters.
 
-    Subclasses set the class attribute ``kind`` (the family name used in CLI
-    records) and implement the abstract members below.
+    Subclasses are frozen dataclasses whose fields are the parameters; they
+    set the class attribute ``kind`` (the family name used in CLI records)
+    and implement the abstract members below.
     """
 
     kind: str
@@ -45,15 +50,16 @@ class Family(ABC):
 
         return PfaffianParams(n)
 
-    @property
-    @abstractmethod
+    @cached_property  # the kernels format it into their error context on every call
     def label(self) -> str:
         """Human-readable name with the parameters, e.g. ``sub-maximal-pfaffians(n=2)``."""
+        args = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{self.kind}({args})"
 
     @property
-    @abstractmethod
     def parameters(self) -> dict[str, str]:
         """A fresh dict of the family name and its parameters, as the CLI records them."""
+        return {"family": self.kind, **{f.name: str(getattr(self, f.name)) for f in fields(self)}}
 
     @property
     @abstractmethod
@@ -85,6 +91,14 @@ class Family(ABC):
     @abstractmethod
     def nonvanishing_degrees(self, d: int) -> frozenset[int]:
         """Cohomological degrees with a nonzero Ext module for the d-th power."""
+
+    @abstractmethod
+    def oracles(self) -> dict[str, Fraction]:
+        """The family's closed-form multiplicity values, keyed by route name.
+
+        ``multiplicities.build_report`` checks the interpolated j-multiplicity
+        against each of them.
+        """
 
     @property
     def finite_cohomology_degree(self) -> int:

@@ -35,21 +35,14 @@ the square-matrix Catalan values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import determinant, exact_quotient, factorial
-from .family import Family, LengthClassification
+from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
 
-__all__ = [
-    "GenericParams",
-    "LengthClassification",
-    "cumulative_length",
-    "length_classification",
-    "local_cohomology_index",
-    "nonvanishing_degrees",
-    "slice_length",
-]
+__all__ = ["GenericParams", "cumulative_length", "slice_length"]
 
 
 @dataclass(frozen=True)
@@ -77,14 +70,6 @@ class GenericParams(Family):
     @property
     def first_finite_power(self) -> int:
         return self.n
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}(m={self.m}, n={self.n})"
-
-    @property
-    def parameters(self) -> dict[str, str]:
-        return {"family": self.kind, "m": str(self.m), "n": str(self.n)}
 
     def slice_length(self, d: int) -> int:
         return slice_length(self, d)  # the module attribute, resolved per call
@@ -117,6 +102,17 @@ class GenericParams(Family):
             raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
         step = self.m - self.n
         return frozenset(self.finite_ext_degree - s * step for s in range(max(0, self.n - d), self.n))
+
+    def oracles(self) -> dict[str, Fraction]:
+        from . import multiplicities as mu  # resolved per call, so patched oracles are seen
+
+        m, n = self.m, self.n
+        return {
+            "closed_form": Fraction(mu.closed_form_generic(m, n)),
+            "grassmannian_degree": Fraction(mu.grassmannian_degree(n, m + n)),
+            "tableaux_count": Fraction(mu.standard_tableaux_rectangle(m, n)),
+            "selberg_integral": mu.integral_formula_generic(m, n),
+        }
 
 
 def _moment_denominator(m: int, n: int) -> int:
@@ -159,11 +155,9 @@ def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     return exact_quotient(numerator, _moment_denominator(m, n), f"{params.label} slice at d={d}")
 
 
-# Module-level spellings of the members, taking the params as first argument.
+# cumulative_length: a module-level spelling of the member; bench/tracer.py patches it
+# (ROADMAP item 1, "Benchmark v2").
 cumulative_length = GenericParams.cumulative_length
-length_classification = GenericParams.length_classification
-local_cohomology_index = GenericParams.local_cohomology_index
-nonvanishing_degrees = GenericParams.nonvanishing_degrees
 
 
 def __getattr__(name: str):

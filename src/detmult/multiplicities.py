@@ -37,7 +37,6 @@ from math import prod
 
 from .arith import ConsistencyError, RationalPolynomial, exact_quotient, factorial, interpolate, poly_range_sum
 from .family import Family
-from .maximal_minors import GenericParams
 
 __all__ = [
     "ConsistencyError",
@@ -236,48 +235,27 @@ class MultiplicityReport:
     """Everything the multiplicity pipeline produces for one family instance."""
 
     family: Family
-    local_cohomology_degree: int
     slice_polynomial: RationalPolynomial
     j_multiplicity: Fraction
     epsilon_multiplicity: Fraction
     oracles: dict[str, Fraction]
-    all_agree: bool
+
+    @property
+    def all_agree(self) -> bool:
+        """True exactly when every oracle value equals the interpolated j-multiplicity."""
+        return all(value == self.j_multiplicity for value in self.oracles.values())
 
 
 # jobs: unused; bench/tracer.py calls it positionally (ROADMAP item 1, "Benchmark v2").
 def build_report(family: Family, jobs: int | None = None) -> MultiplicityReport:
-    """Run the interpolation route and every applicable oracle for a family.
-
-    all_agree is set exactly when every oracle value equals the interpolated
-    j-multiplicity.
-    """
+    """Run the interpolation route and the family's oracles (``Family.oracles``)."""
     poly = slice_polynomial(family)
     k = family.ring_dimension
-    j_mult = factorial(k - 1) * poly.leading_coefficient
-    eps_mult = factorial(k) * poly_range_sum(poly, family.first_finite_power).leading_coefficient
-    if isinstance(family, GenericParams):
-        m, n = family.m, family.n
-        oracles = {
-            "closed_form": Fraction(closed_form_generic(m, n)),
-            "grassmannian_degree": Fraction(grassmannian_degree(n, m + n)),
-            "tableaux_count": Fraction(standard_tableaux_rectangle(m, n)),
-            "selberg_integral": integral_formula_generic(m, n),
-        }
-    else:
-        n = family.n
-        oracles = {
-            "closed_form": Fraction(closed_form_pfaffian(n)),
-            "orthogonal_grassmannian_degree": Fraction(orthogonal_grassmannian_degree(2 * n)),
-            "tableaux_count": Fraction(shifted_tableaux_staircase(2 * n)),
-            "selberg_integral": integral_formula_pfaffian(n),
-        }
-    all_agree = all(value == j_mult for value in oracles.values())
+    summed = poly_range_sum(poly, family.first_finite_power)
     return MultiplicityReport(
         family=family,
-        local_cohomology_degree=family.finite_cohomology_degree,
         slice_polynomial=poly,
-        j_multiplicity=j_mult,
-        epsilon_multiplicity=eps_mult,
-        oracles=oracles,
-        all_agree=all_agree,
+        j_multiplicity=factorial(k - 1) * poly.leading_coefficient,
+        epsilon_multiplicity=factorial(k) * summed.leading_coefficient,
+        oracles=family.oracles(),
     )

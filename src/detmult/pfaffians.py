@@ -38,6 +38,7 @@ that ``verify`` and the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
@@ -46,15 +47,7 @@ from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
 
-__all__ = [
-    "PfaffianParams",
-    "cumulative_length",
-    "length_classification",
-    "local_cohomology_index",
-    "nonvanishing_degrees",
-    "slice_length",
-    "slice_weight",
-]
+__all__ = ["PfaffianParams", "cumulative_length", "slice_length", "slice_weight"]
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,6 @@ class PfaffianParams(Family):
             raise ValueError(f"PfaffianParams requires n >= 1, got {self.n}")
 
     @property
-    def size(self) -> int:
-        return 2 * self.n + 1
-
-    @property
     def ring_dimension(self) -> int:
         return 2 * self.n * self.n + self.n
 
@@ -84,14 +73,6 @@ class PfaffianParams(Family):
     @property
     def first_finite_power(self) -> int:
         return 2 * self.n - 1
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}(n={self.n})"
-
-    @property
-    def parameters(self) -> dict[str, str]:
-        return {"family": self.kind, "n": str(self.n)}
 
     def slice_length(self, d: int) -> int:
         return slice_length(self, d)  # the module attribute, resolved per call
@@ -118,6 +99,17 @@ class PfaffianParams(Family):
             raise ValueError(f"nonvanishing_degrees requires d >= 1, got {d}")
         n = self.n
         return frozenset(2 * (n - t) + 1 for t in range(max(0, n - (d + 1) // 2), n))
+
+    def oracles(self) -> dict[str, Fraction]:
+        from . import multiplicities as mu  # resolved per call, so patched oracles are seen
+
+        n = self.n
+        return {
+            "closed_form": Fraction(mu.closed_form_pfaffian(n)),
+            "orthogonal_grassmannian_degree": Fraction(mu.orthogonal_grassmannian_degree(2 * n)),
+            "tableaux_count": Fraction(mu.shifted_tableaux_staircase(2 * n)),
+            "selberg_integral": mu.integral_formula_pfaffian(n),
+        }
 
 
 def slice_weight(params: PfaffianParams, d: int, epsilon: Sequence[int]) -> tuple[int, ...]:
@@ -182,11 +174,9 @@ def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int
     return exact_quotient(d * (d + 1) * root, _moment_denominator(n), what)
 
 
-# Module-level spellings of the members, taking the params as first argument.
+# cumulative_length: a module-level spelling of the member; bench/tracer.py patches it
+# (ROADMAP item 1, "Benchmark v2").
 cumulative_length = PfaffianParams.cumulative_length
-length_classification = PfaffianParams.length_classification
-local_cohomology_index = PfaffianParams.local_cohomology_index
-nonvanishing_degrees = PfaffianParams.nonvanishing_degrees
 
 
 def __getattr__(name: str):

@@ -209,3 +209,48 @@ def is_layer_index_by_diagrams(
     if not column_heights:
         return False
     return all(h == level + 1 for h in column_heights)
+
+
+def grassmannian_hilbert_function(m: int, n: int, D: int) -> int:
+    """Cumulative length of the generic (m, n) family at power D, as a Hilbert function.
+
+    It is the Hilbert function of the Pluecker coordinate ring of G(n, m+n) in
+    degree t = D - n: the dimension of the GL(m+n) representation of the
+    n x t rectangle, counted by the hook-content formula
+    prod (m + n + j - i) / prod (t - j + n - i - 1) over the cells (i, j).
+    Zero below D = n.
+    """
+    t = D - n
+    if t < 0:
+        return 0
+    cells = [(i, j) for i in range(n) for j in range(t)]
+    num = prod(m + n + j - i for i, j in cells)
+    den = prod(t - j + n - i - 1 for i, j in cells)
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0, (m, n, D)
+    return quotient
+
+
+def spinor_hilbert_function(n: int, D: int) -> int:
+    """Cumulative length of the pfaffian family n at power D, as a Hilbert function.
+
+    It is the Hilbert function of OG(2n, 4n+1) in its spinor embedding, in
+    degree t = D - 2n + 1: the dimension of the so(4n+1) representation with
+    highest weight t times the spin weight.  In doubled coordinates, with
+    a = 2n, L_i = t + 2i - 1 and R_i = 2i - 1 (i = 1..a), the type-B Weyl
+    dimension formula reads
+        prod L_i / R_i * prod_{i<j} (L_j^2 - L_i^2) / (R_j^2 - R_i^2).
+    Zero below D = 2n - 1.
+    """
+    t = D - 2 * n + 1
+    if t < 0:
+        return 0
+    a = 2 * n
+    L = [t + 2 * i - 1 for i in range(1, a + 1)]
+    R = [2 * i - 1 for i in range(1, a + 1)]
+    pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    num = prod(L) * prod(L[j] ** 2 - L[i] ** 2 for i, j in pairs)
+    den = prod(R) * prod(R[j] ** 2 - R[i] ** 2 for i, j in pairs)
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0, (n, D)
+    return quotient

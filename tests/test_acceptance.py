@@ -16,7 +16,8 @@ import detmult.maximal_minors
 import detmult.pfaffians
 from detmult.arith import faulhaber_polynomial
 from detmult.cli import main
-from detmult.maximal_minors import GenericParams, LengthClassification
+from detmult.family import LengthClassification
+from detmult.maximal_minors import GenericParams
 from detmult.multiplicities import (
     ConsistencyError,
     Family,
@@ -88,12 +89,12 @@ def test_criterion_3_nonvanishing_degrees_and_classification():
     m53 = GenericParams(5, 3)
     ok = True
     for d in range(3, 7):
-        ok = ok and detmult.maximal_minors.nonvanishing_degrees(m43, d) == {2, 3, 4}
-        ok = ok and detmult.maximal_minors.nonvanishing_degrees(m53, d) == {3, 5, 7}
+        ok = ok and m43.nonvanishing_degrees(d) == {2, 3, 4}
+        ok = ok and m53.nonvanishing_degrees(d) == {3, 5, 7}
     for params in (m43, m53):
         for d in range(1, 7):
             for j in range(0, params.finite_ext_degree + 2):
-                cls = detmult.maximal_minors.length_classification(params, j, d)
+                cls = params.length_classification(j, d)
                 finite_expected = j == params.finite_ext_degree and d >= params.n
                 ok = ok and (cls is LengthClassification.FINITE_NONZERO) == finite_expected
     announce(3, ok, "degree sets {2,3,4} / {3,5,7} and finite classification at j = n(m-n)+1, d >= n")

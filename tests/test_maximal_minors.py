@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detmult.arith import interpolate
-from detmult.maximal_minors import (
-    GenericParams,
-    LengthClassification,
-    cumulative_length,
-    length_classification,
-    local_cohomology_index,
-    nonvanishing_degrees,
-    slice_length,
-)
+from detmult.family import LengthClassification
+from detmult.maximal_minors import GenericParams, cumulative_length, slice_length
 from oracles import count_monomials, generic_degrees_by_search
 
 M32 = GenericParams(3, 2)
@@ -44,10 +37,10 @@ def test_derived_indices():
 
 
 def test_nonvanishing_degrees_examples():
-    assert nonvanishing_degrees(M43, 3) == {2, 3, 4}
-    assert nonvanishing_degrees(M53, 3) == {3, 5, 7}
-    assert 3 not in nonvanishing_degrees(M32, 1)
-    assert nonvanishing_degrees(M32, 1) == {2}
+    assert M43.nonvanishing_degrees(3) == {2, 3, 4}
+    assert M53.nonvanishing_degrees(3) == {3, 5, 7}
+    assert 3 not in M32.nonvanishing_degrees(1)
+    assert M32.nonvanishing_degrees(1) == {2}
 
 
 def test_nonvanishing_degrees_structure():
@@ -56,7 +49,7 @@ def test_nonvanishing_degrees_structure():
             params = GenericParams(m, n)
             top = params.finite_ext_degree
             for d in range(1, 31):
-                degrees = nonvanishing_degrees(params, d)
+                degrees = params.nonvanishing_degrees(d)
                 assert degrees == generic_degrees_by_search(m, n, d), (m, n, d)
                 assert all((1 - j) % (m - n) == 0 for j in degrees)
                 assert all(2 <= j <= top for j in degrees)
@@ -67,21 +60,21 @@ def test_nonvanishing_degrees_structure():
 def test_nonvanishing_degrees_square_rejected():
     for d in (3, 1, 0, -2):
         with pytest.raises(ValueError, match="^cohomological degree classification requires m > n$"):
-            nonvanishing_degrees(GenericParams(2, 2), d)
+            GenericParams(2, 2).nonvanishing_degrees(d)
 
 
 def test_classification_examples():
-    assert length_classification(M43, 4, 3) is LengthClassification.FINITE_NONZERO
-    assert length_classification(M43, 3, 3) is LengthClassification.INFINITE
-    assert length_classification(M32, 3, 1) is LengthClassification.ZERO
-    assert length_classification(M43, 5, 3) is LengthClassification.ZERO
+    assert M43.length_classification(4, 3) is LengthClassification.FINITE_NONZERO
+    assert M43.length_classification(3, 3) is LengthClassification.INFINITE
+    assert M32.length_classification(3, 1) is LengthClassification.ZERO
+    assert M43.length_classification(5, 3) is LengthClassification.ZERO
 
 
 def test_classification_finite_only_at_top_degree():
     for params in (M32, M43, M53):
         for d in range(1, 7):
             for j in range(0, params.finite_ext_degree + 2):
-                cls = length_classification(params, j, d)
+                cls = params.length_classification(j, d)
                 if cls is LengthClassification.FINITE_NONZERO:
                     assert j == params.finite_ext_degree and d >= params.n
 
@@ -159,13 +152,13 @@ def test_polynomiality():
 
 
 def test_local_cohomology_index():
-    assert local_cohomology_index(M43, 4) == 8
-    assert local_cohomology_index(M32, 3) == 3
-    assert local_cohomology_index(M32, 0) == 6
+    assert M43.local_cohomology_index(4) == 8
+    assert M32.local_cohomology_index(3) == 3
+    assert M32.local_cohomology_index(0) == 6
     with pytest.raises(ValueError):
-        local_cohomology_index(M32, 7)
+        M32.local_cohomology_index(7)
     with pytest.raises(ValueError):
-        local_cohomology_index(M32, -1)
+        M32.local_cohomology_index(-1)
 
 
 def test_jobs_is_accepted_and_changes_nothing():

@@ -209,7 +209,7 @@ def test_build_report_generic_32():
     values = {report.j_multiplicity, report.epsilon_multiplicity, *report.oracles.values()}
     assert values == {Fraction(5)}
     assert report.all_agree
-    assert report.local_cohomology_degree == 3
+    assert report.family.finite_cohomology_degree == 3
     assert set(report.oracles) == {
         "closed_form",
         "grassmannian_degree",

@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detmult.arith import interpolate
-from detmult.maximal_minors import LengthClassification
+from detmult.family import LengthClassification
 from detmult.partitions import weakly_decreasing_tuples
-from detmult.pfaffians import (
-    PfaffianParams,
-    cumulative_length,
-    length_classification,
-    local_cohomology_index,
-    nonvanishing_degrees,
-    slice_length,
-    slice_weight,
-)
+from detmult.pfaffians import PfaffianParams, cumulative_length, slice_length, slice_weight
 from oracles import count_monomials, pfaffian_degrees_by_search
 
 P1 = PfaffianParams(1)
@@ -31,7 +23,6 @@ def test_params_validation():
 
 
 def test_derived_indices():
-    assert P2.size == 5
     assert P2.ring_dimension == 10
     assert P2.finite_ext_degree == 5
     assert P2.finite_cohomology_degree == 5
@@ -42,16 +33,16 @@ def test_derived_indices():
 
 def test_nonvanishing_degrees_examples():
     for d in range(1, 6):
-        assert nonvanishing_degrees(P1, d) == {3}
-    assert nonvanishing_degrees(P2, 3) == {3, 5}
-    assert nonvanishing_degrees(P2, 2) == {3}
+        assert P1.nonvanishing_degrees(d) == {3}
+    assert P2.nonvanishing_degrees(3) == {3, 5}
+    assert P2.nonvanishing_degrees(2) == {3}
 
 
 def test_degrees_are_odd_and_bounded():
     for n in range(1, 10):
         params = PfaffianParams(n)
         for d in range(1, 41):
-            degrees = nonvanishing_degrees(params, d)
+            degrees = params.nonvanishing_degrees(d)
             assert degrees == pfaffian_degrees_by_search(n, d), (n, d)
             assert degrees
             assert all(j % 2 == 1 and 3 <= j <= 2 * n + 1 for j in degrees)
@@ -61,14 +52,14 @@ def test_top_degree_needs_large_power():
     for n in range(1, 5):
         params = PfaffianParams(n)
         for d in range(1, params.first_finite_power):
-            assert params.finite_ext_degree not in nonvanishing_degrees(params, d)
-        assert params.finite_ext_degree in nonvanishing_degrees(params, params.first_finite_power)
+            assert params.finite_ext_degree not in params.nonvanishing_degrees(d)
+        assert params.finite_ext_degree in params.nonvanishing_degrees(params.first_finite_power)
 
 
 def test_classification_examples():
-    assert length_classification(P2, 5, 3) is LengthClassification.FINITE_NONZERO
-    assert length_classification(P2, 3, 3) is LengthClassification.INFINITE
-    assert length_classification(P2, 4, 3) is LengthClassification.ZERO
+    assert P2.length_classification(5, 3) is LengthClassification.FINITE_NONZERO
+    assert P2.length_classification(3, 3) is LengthClassification.INFINITE
+    assert P2.length_classification(4, 3) is LengthClassification.ZERO
 
 
 def test_slice_weight_shape():
@@ -157,11 +148,11 @@ def test_polynomiality():
 
 
 def test_local_cohomology_index():
-    assert local_cohomology_index(P2, 5) == 5
-    assert local_cohomology_index(P3, 7) == 14
-    assert local_cohomology_index(P2, 0) == 10
+    assert P2.local_cohomology_index(5) == 5
+    assert P3.local_cohomology_index(7) == 14
+    assert P2.local_cohomology_index(0) == 10
     with pytest.raises(ValueError):
-        local_cohomology_index(P2, 11)
+        P2.local_cohomology_index(11)
 
 
 def test_jobs_is_accepted_and_changes_nothing():
@@ -172,7 +163,7 @@ def test_rejects_nonpositive_power():
     with pytest.raises(ValueError):
         slice_length(P2, 0)
     with pytest.raises(ValueError):
-        nonvanishing_degrees(P2, 0)
+        P2.nonvanishing_degrees(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

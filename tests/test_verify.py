@@ -102,3 +102,15 @@ def test_interpolation_roundtrip_fails_on_mirrored_abscissae(monkeypatch):
     result = {c.name: c for c in run_checks(quick=True)}["interpolation-roundtrip"]
     assert not result.passed
     assert result.detail.startswith("expected RationalPolynomial("), result.detail
+
+
+def test_crash_inside_a_check_is_that_checks_failure(monkeypatch):
+    # a kernel that raises ConsistencyError fails the checks that reach it,
+    # each named with the error as its detail, and the rest of the suite runs
+    real = detmult.pfaffians.determinant
+    monkeypatch.setattr(detmult.pfaffians, "determinant", lambda matrix: real(matrix) + 1)
+    checks = run_checks(quick=True)
+    failed = {c.name: c.detail for c in checks if not c.passed}
+    assert "telescoping-pfaffian" in failed
+    assert all("is not a perfect square" in detail for detail in failed.values()), failed
+    assert checks[-1].name == "selberg-vs-expansion" and checks[-1].passed
