@@ -2,9 +2,9 @@
 
 Arbitrary-precision integers and rationals (``int`` / ``fractions.Fraction``),
 factorials, Bernoulli numbers, Faulhaber power-sum polynomials, range
-summation of polynomials, exact Newton interpolation, and fraction-free
-determinants of integer matrices.  No floating point appears anywhere; every
-operation is exact.
+summation of polynomials, exact Newton interpolation, weighted power sums
+and fraction-free determinants of integer matrices.  No floating point
+appears anywhere; every operation is exact.
 
 There is no Pfaffian routine: for skew-symmetric A, Cayley's identity
 det A = Pf(A)^2 gives |Pf(A)| = isqrt(det A), all that the pfaffian slice
@@ -36,6 +36,7 @@ __all__ = [
     "faulhaber_polynomial",
     "interpolate",
     "poly_range_sum",
+    "power_sums",
 ]
 
 
@@ -187,6 +188,18 @@ def interpolate(points: Sequence[tuple[Rational, Rational]]) -> RationalPolynomi
             poly[i] = poly[i - 1] - xs[k] * poly[i]
         poly[0] = coefs[k] - xs[k] * poly[0]
     return RationalPolynomial(poly)
+
+
+def power_sums(points: Iterable[tuple[int, int]], count: int) -> list[int]:
+    """[sum of w * x^r over the (x, w) points for r < count]; count <= 0 reads no point."""
+    if count <= 0:
+        return []
+    sums = [0] * count
+    for x, w in points:
+        for r in range(count):
+            sums[r] += w
+            w *= x
+    return sums
 
 
 def exact_quotient(numerator: int, denominator: int, what: str) -> int:

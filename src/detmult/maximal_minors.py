@@ -13,16 +13,19 @@ is a sum of products of two Weyl dimensions over weakly decreasing tuples
 (t = 1..n, so x_n = 0 is pinned) the free points x_1 > ... > x_{n-1} range
 over the (n-1)-subsets of {1, ..., d-1}.  Both Weyl products contain the
 Vandermonde of x_1, ..., x_n, and the constant block of the second weight
-contributes W_d(x) = (d-x+m-n-1)! / (d-x-1)! per point.  Heine's (Andreief's)
-identity turns the sum over subsets of Vandermonde^2 * prod W_d(x_t) into the
-Hankel determinant of the moments mu_r = sum_{x=1}^{d-1} x^(r+2) W_d(x), where
-x^2 is the Vandermonde factor against the pinned point 0:
+contributes W_d(x) = (d-x+m-n-1)! / (d-x-1)! = (m-n)! C(d-1-x+m-n, m-n) per
+point.  Heine's (Andreief's) identity turns the sum over subsets of
+Vandermonde^2 * prod W_d(x_t) into the Hankel determinant of the moments
+mu_r = sum_{x=1}^{d-1} x^(r+2) W_d(x), where x^2 is the Vandermonde factor
+against the pinned point 0:
 
     slice(d) = W_d(0) * det[mu_(i+j)]_(0 <= i, j <= n-2)
                / (prod_{1<=s<t<=n} (t-s)^2 * prod_{t=1}^{n} (t+m-n-1)! / (t-1)!)
 
 That is O(d n) big-integer work per power instead of C(d-1, n-1) tuples.  For
-n = 1 the determinant is empty and the formula is C(d+m-2, m-1).
+d < n the formula is 0 by itself: the Hankel matrix has rank at most d-1, the
+number of support points, below its size n-1.  For n = 1 the determinant is
+empty, no moment is taken and the formula is C(d+m-2, m-1), in O(1).
 ``GenericParams.reference_slice_length`` keeps the tuple sum itself as the
 independent route that ``verify`` and the tests compare against.
 
@@ -36,8 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .arith import determinant, exact_quotient, factorial
+from .arith import determinant, exact_quotient, factorial, power_sums
 from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
@@ -130,28 +134,18 @@ def _moment_denominator(m: int, n: int) -> int:
 def slice_length(params: GenericParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
-    Zero for d < n.  Computed as the Hankel determinant of moments described
-    in the module docstring, with the weights W_d(x) taken from x = d-1 down
-    to 0 by W_d(x-1) = W_d(x) (d-x+m-n) / (d-x); every division is checked to
-    be exact.
+    The Hankel determinant of moments described in the module docstring, taken
+    over the weights W_d(x) / (m-n)! = C(d-1-x+m-n, m-n); the factor
+    (m-n)!^n goes onto the numerator once, and the final division is checked.
+    Zero for d < n, where the determinant vanishes.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
     m, n = params.m, params.n
-    if d < n:
-        return 0
-    moments = [0] * max(2 * n - 3, 0)
-    what = f"{params.label} moment weight at d={d}"
-    weight = factorial(m - n)  # W_d(d-1); each step below lowers x by one
-    for x in range(d - 1, 0, -1):
-        if moments:  # empty for n = 1, where only W_d(0) is needed
-            term = weight * x * x
-            for r in range(len(moments)):
-                moments[r] += term
-                term *= x
-        weight = exact_quotient(weight * (d - x + m - n), d - x, what)  # W_d(x-1)
+    weights = ((x, x * x * comb(d - 1 - x + m - n, m - n)) for x in range(1, d))  # x^2 W_d(x) / (m-n)!
+    moments = power_sums(weights, 2 * n - 3)
     hankel = [moments[i:i + n - 1] for i in range(n - 1)]
-    numerator = weight * determinant(hankel)
+    numerator = factorial(m - n) ** n * comb(d - 1 + m - n, m - n) * determinant(hankel)
     return exact_quotient(numerator, _moment_denominator(m, n), f"{params.label} slice at d={d}")
 
 

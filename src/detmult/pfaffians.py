@@ -30,9 +30,11 @@ nonnegative, so slice(d) = d(d+1) isqrt(det A) / prod (q-p), the determinant
 coming from the generic kernel's Bareiss elimination (a non-square raises
 ConsistencyError).  That is O(d n) big-integer work per power for the moments
 plus one elimination of size 2n-2, not a tuple count growing like d^(n-1).
-For n = 1 the matrix is empty and the formula is d(d+1)/2.  The tuple sum
-itself is ``PfaffianParams.reference_slice_length``, the independent route
-that ``verify`` and the tests compare against.
+For d < 2n-1 the formula is 0 by itself: de Bruijn's sum needs n-1 pairwise
+non-adjacent points in {1, ..., d-2}, and there are none.  For n = 1 the
+matrix is empty and the formula is d(d+1)/2.  The tuple sum itself is
+``PfaffianParams.reference_slice_length``, the independent route that
+``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .arith import ConsistencyError, determinant, exact_quotient, factorial
+from .arith import ConsistencyError, determinant, exact_quotient, factorial, power_sums
 from .family import Family
 from .partitions import weakly_decreasing_tuples
 from .schur import weyl_dimension
@@ -146,22 +148,16 @@ def _moment_denominator(n: int) -> int:
 def slice_length(params: PfaffianParams, d: int, jobs: int | None = None) -> int:
     """Length of the finite Ext module of the slice between powers d-1 and d.
 
-    Zero for d < 2n-1; exactly 1 at d = 2n-1, where the only summand is a
-    constant weight.  Computed from the skew moment determinant described in
-    the module docstring; the square root and the division are checked.
+    Computed from the skew moment determinant described in the module
+    docstring; the square root and the division are checked.  Zero for
+    d < 2n-1, where the Pfaffian vanishes, and exactly 1 at d = 2n-1, where
+    the only summand is a constant weight.
     """
     if d < 1:
         raise ValueError(f"slice_length requires d >= 1, got {d}")
     n = params.n
-    if d < params.first_finite_power:
-        return 0
-    moments = [0] * max(4 * n - 5, 0)
-    for z in range(1, d - 1):
-        y = d - z
-        term = z * (z + 1) * y * y * (y * y - 1)  # omega_d(z)
-        for r in range(len(moments)):
-            moments[r] += term
-            term *= z
+    omega = ((z, z * (z + 1) * (d - z) ** 2 * ((d - z) ** 2 - 1)) for z in range(1, d - 1))
+    moments = power_sums(omega, 4 * n - 5)
     size = 2 * n - 2
     shifted = [moments]  # row i holds B_ij; Pascal's rule gives B_(i+1)j = B_ij + B_i(j+1)
     for _ in range(size - 1):

@@ -13,6 +13,7 @@ from detmult.arith import (
     faulhaber_polynomial,
     interpolate,
     poly_range_sum,
+    power_sums,
 )
 from oracles import (
     determinant_by_permutations,
@@ -268,3 +269,24 @@ def test_exact_quotient():
     assert exact_quotient(-12, 4, "demo") == -3
     with pytest.raises(ConsistencyError, match="demo: 7/2 is not an integer"):
         exact_quotient(7, 2, "demo")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(-(10**6), 10**6)), max_size=8),
+    st.integers(min_value=-2, max_value=7),
+)
+def test_power_sums_match_the_double_sum(points, count):
+    expected = [sum(w * x**r for x, w in points) for r in range(count)]
+    assert power_sums(points, count) == expected
+
+
+def test_power_sums_read_no_point_when_no_moment_is_asked():
+    def points():
+        raise AssertionError("a point was read")
+        yield
+
+    for count in (0, -1):
+        assert power_sums(points(), count) == []
+    with pytest.raises(AssertionError):
+        power_sums(points(), 1)

@@ -173,14 +173,15 @@ def test_slice_length_rejects_nonpositive_power():
 
 
 # Shapes on which the moment kernel is checked against the tuple enumeration
-# at twelve consecutive powers from the first finite one; (7, 7) is square.
+# at every power from d = 1 to twelve past the first finite one, so the zeros
+# below it come from the formula too; (7, 7) is square.
 PARITY_SHAPES = [(3, 2), (5, 3), (8, 4), (6, 5), (7, 7)] + [(m, 1) for m in range(1, 9)]
 
 
 @pytest.mark.parametrize("m,n", PARITY_SHAPES)
 def test_slice_length_matches_enumeration(m, n):
     params = GenericParams(m, n)
-    for d in range(n, n + 12):
+    for d in range(1, n + 12):
         assert slice_length(params, d) == params.reference_slice_length(d), d
 
 

@@ -114,3 +114,18 @@ def test_crash_inside_a_check_is_that_checks_failure(monkeypatch):
     assert "telescoping-pfaffian" in failed
     assert all("is not a perfect square" in detail for detail in failed.values()), failed
     assert checks[-1].name == "selberg-vs-expansion" and checks[-1].passed
+
+
+def test_degree_check_compares_the_whole_pfaffian_set(monkeypatch):
+    # from the first finite power on, a set holding only the top degree keeps
+    # parity and bounds, so only the comparison with the full set catches it
+    real = detmult.pfaffians.PfaffianParams.nonvanishing_degrees
+
+    def top_only(self, d):
+        return frozenset({2 * self.n + 1}) if d >= self.first_finite_power else real(self, d)
+
+    monkeypatch.setattr(detmult.pfaffians.PfaffianParams, "nonvanishing_degrees", top_only)
+    for quick in (False, True):
+        result = {c.name: c for c in run_checks(quick=quick)}["degree-parity-pfaffian"]
+        assert not result.passed
+        assert result.detail.startswith("expected [3, 5]"), result.detail

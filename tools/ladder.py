@@ -49,6 +49,7 @@ LIBRARY_ROWS = [
     ("generic(20,8), nodes", ["generic", 20, 8], "nodes"),
     ("generic(16,10), nodes", ["generic", 16, 10], "nodes"),
     ("generic(30,6), nodes", ["generic", 30, 6], "nodes"),
+    ("generic(30,10), nodes", ["generic", 30, 10], "nodes"),
     ("pfaffian(6), nodes", ["pfaffian", 6], "nodes"),
     ("pfaffian(7), nodes", ["pfaffian", 7], "nodes"),
     ("pfaffian(10), nodes", ["pfaffian", 10], "nodes"),
