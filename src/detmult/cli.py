@@ -16,7 +16,6 @@ consistency error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -203,6 +202,8 @@ def _render_json(record: dict) -> None:
 
 
 def _render_sweep_csv(record: dict) -> None:
+    import csv  # only this renderer needs it, so other commands skip its import
+
     params = record["parameters"]
     token = ";".join(f"{k}={v}" for k, v in params.items() if k not in ("family", "d_from", "d_to"))
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -7,15 +7,16 @@ lives in them: the ring dimension, the finite Ext degree, the first power with
 a finite nonzero slice, the slice length (a fast kernel and an enumeration
 reference), the set of nonvanishing degrees and the table of closed-form
 multiplicity oracles.  Everything derived from those is defined here once:
-the label and CLI parameters (from the dataclass fields), local duality, the
-zero/finite/infinite classification and the cumulative length.
+value semantics over the parameters each class names in ``fields``
+(construction, equality, hashing, ``repr``, immutability), the label and CLI
+parameters, local duality, the zero/finite/infinite classification and the
+cumulative length.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,12 +32,48 @@ class LengthClassification(enum.Enum):
 class Family(ABC):
     """One thickening family with its parameters.
 
-    Subclasses are frozen dataclasses whose fields are the parameters; they
-    set the class attribute ``kind`` (the family name used in CLI records)
-    and implement the abstract members below.
+    A subclass sets two class attributes, ``kind`` (the family name used in
+    CLI records) and ``fields`` (its parameter names in positional order),
+    and implements ``_check_parameters`` and the other abstract members
+    below.  Each instance is an immutable value: it takes its parameters
+    positionally or by name, compares and hashes by class and parameter
+    values, and prints as e.g. ``GenericParams(m=5, n=3)``.
     """
 
     kind: str
+    fields: tuple[str, ...]
+
+    def __init__(self, *args: int, **kwargs: int) -> None:
+        values = dict(zip(self.fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self.fields) or values.keys() != set(self.fields):
+            raise TypeError(f"{type(self).__name__} takes the parameters {self.fields}, got {args} and {kwargs}")
+        self.__dict__.update(values)
+        self._check_parameters()
+
+    def _values(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    @abstractmethod
+    def _check_parameters(self) -> None:
+        """Raise ValueError unless the parameters name a family member."""
 
     @staticmethod
     def generic(m: int, n: int) -> Family:
@@ -53,13 +90,13 @@ class Family(ABC):
     @cached_property  # the kernels format it into their error context on every call
     def label(self) -> str:
         """Human-readable name with the parameters, e.g. ``sub-maximal-pfaffians(n=2)``."""
-        args = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        args = ", ".join(f"{name}={value}" for name, value in zip(self.fields, self._values()))
         return f"{self.kind}({args})"
 
     @property
     def parameters(self) -> dict[str, str]:
         """A fresh dict of the family name and its parameters, as the CLI records them."""
-        return {"family": self.kind, **{f.name: str(getattr(self, f.name)) for f in fields(self)}}
+        return {"family": self.kind, **{name: str(value) for name, value in zip(self.fields, self._values())}}
 
     @property
     @abstractmethod

@@ -37,7 +37,6 @@ the square-matrix Catalan values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -49,16 +48,13 @@ from .schur import weyl_dimension
 __all__ = ["GenericParams", "cumulative_length", "slice_length"]
 
 
-@dataclass(frozen=True)
 class GenericParams(Family):
     """Size of the generic matrix: m rows, n columns, m >= n >= 1."""
 
-    m: int
-    n: int
-
     kind = "generic-maximal-minors"
+    fields = ("m", "n")
 
-    def __post_init__(self) -> None:
+    def _check_parameters(self) -> None:
         if not self.m >= self.n >= 1:
             raise ValueError(f"GenericParams requires m >= n >= 1, got m={self.m}, n={self.n}")
 

@@ -30,10 +30,10 @@ closed_form_generic(m, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .arith import ConsistencyError, RationalPolynomial, exact_quotient, factorial, interpolate, poly_range_sum
 from .family import Family
@@ -230,8 +230,7 @@ def integral_formula_pfaffian(n: int) -> Fraction:
     return constant * selberg_integral(n - 1, 3, 5, 2) / factorial(n - 1)
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(NamedTuple):
     """Everything the multiplicity pipeline produces for one family instance."""
 
     family: Family

@@ -39,7 +39,6 @@ matrix is empty and the formula is d(d+1)/2.  The tuple sum itself is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -52,15 +51,13 @@ from .schur import weyl_dimension
 __all__ = ["PfaffianParams", "cumulative_length", "slice_length", "slice_weight"]
 
 
-@dataclass(frozen=True)
 class PfaffianParams(Family):
     """Half-size parameter n >= 1; the skew-symmetric matrix is (2n+1) x (2n+1)."""
 
-    n: int
-
     kind = "sub-maximal-pfaffians"
+    fields = ("n",)
 
-    def __post_init__(self) -> None:
+    def _check_parameters(self) -> None:
         if self.n < 1:
             raise ValueError(f"PfaffianParams requires n >= 1, got {self.n}")
 

@@ -10,11 +10,10 @@ thin wrapper around ``run_checks``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import arith, multiplicities, partitions, pfaffians, schur
 from .family import Family, LengthClassification
@@ -22,16 +21,15 @@ from .family import Family, LengthClassification
 __all__ = ["CheckResult", "count_semistandard_tableaux", "run_checks"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class _Suite:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[CheckResult] = []
 
     def record(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail if not passed else ""))

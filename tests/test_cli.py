@@ -447,3 +447,22 @@ def test_startup_loads_neither_the_pool_nor_the_verify_suite():
     proc = run_python("-c", STARTUP_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True", "True", "AttributeError"]
+
+
+HEAVY_STDLIB = ("ast", "csv", "dataclasses", "dis", "inspect", "tokenize")
+IMPORT_PROBE = f"""
+import sys
+bare = set(sys.modules)  # what the interpreter holds before detmult
+import detmult.cli
+print(sorted(set({HEAVY_STDLIB!r}) & (set(sys.modules) - bare)))
+import detmult.verify
+print(sorted(set({HEAVY_STDLIB!r}) & (set(sys.modules) - bare)))
+"""
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect_nor_csv():
+    # dataclasses pulls in inspect, ast, dis and tokenize; csv is only for
+    # sweep --format csv; neither the CLI nor the verify suite needs them
+    proc = run_python("-c", IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

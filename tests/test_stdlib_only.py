@@ -1,6 +1,7 @@
-"""The package imports nothing outside the Python standard library, every
-check it makes is a raise that still fires under ``python -O``, never an
-assert, and only the family modules name the two family classes."""
+"""The package imports nothing outside the Python standard library and not
+``dataclasses``, every check it makes is a raise that still fires under
+``python -O``, never an assert, and only the family modules name the two
+family classes."""
 
 import ast
 import sys
@@ -35,6 +36,12 @@ def test_every_module_is_scanned():
 def test_imports_only_the_standard_library(path):
     outside = [name for name in absolute_imports(path) if name not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_dataclasses(path):
+    # dataclasses imports inspect, ast, dis and tokenize: about 8 ms of every CLI start-up
+    assert "dataclasses" not in absolute_imports(path), f"{path.name} imports dataclasses"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -59,6 +59,12 @@ CLI_ROWS = [
      ["schur-dim", "--weight", "9,7,5,3,1,0", "--dim", "8", "--no-timing"]),
     ("CLI multiplicity --generic -m 10 -n 3",
      ["multiplicity", "--generic", "-m", "10", "-n", "3", "--no-timing"]),
+    ("CLI ext-length --generic -m 5 -n 3 --slice -d 24",
+     ["ext-length", "--generic", "-m", "5", "-n", "3", "--slice", "-d", "24", "--no-timing"]),
+    ("CLI ext-length --pfaffian -n 3 --cumulative -D 12",
+     ["ext-length", "--pfaffian", "-n", "3", "--cumulative", "-D", "12", "--no-timing"]),
+    ("CLI sweep --generic -m 5 -n 3 --d-from 1 --d-to 120 --format csv",
+     ["sweep", "--generic", "-m", "5", "-n", "3", "--d-from", "1", "--d-to", "120", "--format", "csv", "--no-timing"]),
     ("CLI verify --quick", ["verify", "--quick", "--no-timing"]),
     ("CLI verify", ["verify", "--no-timing"]),
     ("CLI verify --generic-max-m 12 --pfaffian-max-n 4",
