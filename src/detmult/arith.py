@@ -101,10 +101,26 @@ class RationalPolynomial:
         return self.coefficients[-1] if self.coefficients else Fraction(0)
 
     def __call__(self, x: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """The value at an int or Fraction x, exactly; any other type is a TypeError.
+
+        With L the lcm of the coefficient denominators and x = p/q in lowest
+        terms, the value is the sum of the integers L*c_i * p^i * q^(deg-i),
+        taken by Horner's rule, over L * q^deg.  The one division (and its one
+        gcd) comes at the end.
+        """
+        if isinstance(x, int):
+            p, q = x, 1
+        elif isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+        else:
+            raise TypeError(f"RationalPolynomial evaluates at int or Fraction, got {type(x).__name__}")
+        ratios = [c.as_integer_ratio() for c in reversed(self.coefficients)]
+        scale = math.lcm(*[den for _, den in ratios])
+        acc, q_power = 0, 1
+        for num, den in ratios:
+            acc = acc * p + num * (scale // den) * q_power
+            q_power *= q
+        return Fraction(acc, scale * q ** max(self.degree, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):

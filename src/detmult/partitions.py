@@ -8,7 +8,8 @@ ambient length never has to be tracked explicitly.
 
 A pair (partition, level) indexes one layer of the equivariant filtration of
 a power of a determinantal or pfaffian ideal.  ``is_layer_index`` decides
-membership directly from the defining two-clause condition, while
+membership directly from the defining two-clause condition, through
+``layer_level``, the one level a partition can take, while
 ``power_ideal_layers`` enumerates the same set through its closed form; the
 two routes are checked against each other in the verification suite.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "conjugate",
     "contained_in",
     "is_layer_index",
+    "layer_level",
     "maximal_minor_layers",
     "normalize",
     "part",
@@ -100,6 +102,30 @@ class LayerIndex(NamedTuple):
     level: int
 
 
+def layer_level(ideal_partitions: Collection[PartitionLike], partition: PartitionLike) -> int:
+    """The one level at which `partition` can index a layer for the given ideal family.
+
+    With c the largest part of `partition`, the members x of the family with
+    truncate(x, c) <= partition qualify, and the result is the smallest
+    column height conjugate(x)[c+1] over them, minus 1.  It is -1 when no
+    member qualifies or one has no column past width c, and then the
+    partition indexes no layer.  Both quantities are read off x directly:
+    truncate(x, c) <= partition is min(x_i, c) <= partition_i for every
+    part, and conjugate(x)[c+1] is the number of parts of x greater than c.
+    """
+    if not ideal_partitions:
+        raise ValueError("ideal_partitions must be a nonempty family of partitions")
+    z = normalize(partition)
+    c = part(z, 1)
+    # a member with more parts than z fits only when c = 0, since its parts are positive
+    heights = [
+        sum(p > c for p in x)
+        for x in map(normalize, ideal_partitions)
+        if (c == 0 or len(x) <= len(z)) and all(min(p, c) <= q for p, q in zip(x, z))
+    ]
+    return min(heights, default=0) - 1
+
+
 def is_layer_index(
     ideal_partitions: Collection[PartitionLike], partition: PartitionLike, level: int
 ) -> bool:
@@ -111,24 +137,14 @@ def is_layer_index(
          has at most level+1 columns past width c (conjugate(x)[c+1] <= level+1), and
       2. every member satisfying clause 1 has conjugate(x)[c+1] = level + 1.
 
-    Both are read off x directly: truncate(x, c) <= partition is
-    min(x_i, c) <= partition_i for every part, and conjugate(x)[c+1] is the
-    number of parts of x greater than c.  Together the clauses say that the
-    smallest such column height over the members with truncate(x, c) <=
-    partition is exactly level + 1.
+    Together the clauses say that the smallest such column height over the
+    members with truncate(x, c) <= partition is exactly level + 1, that is,
+    ``layer_level(ideal_partitions, partition) == level``.
     """
-    if not ideal_partitions:
-        raise ValueError("is_layer_index requires a nonempty family of partitions")
+    found = layer_level(ideal_partitions, partition)  # rejects an empty family first
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    z = normalize(partition)
-    c = part(z, 1)
-    heights = [
-        sum(1 for p in x if p > c)
-        for x in map(normalize, ideal_partitions)
-        if all(min(p, c) <= part(z, i) for i, p in enumerate(x, 1))
-    ]
-    return min(heights, default=0) == level + 1
+    return found == level
 
 
 def maximal_minor_layers(n: int, d: int) -> list[LayerIndex]:

@@ -106,6 +106,14 @@ def direct_power_sum(p: int, b: int) -> int:
     return sum(k**p for k in range(1, b + 1))
 
 
+def horner_reference(coefficients: list[Fraction], x: Fraction) -> Fraction:
+    """Value of sum c_i x^i (ascending coefficients) by Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * Fraction(x) + Fraction(c)
+    return acc
+
+
 def lagrange_coefficients(points: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, ...]:
     """Ascending monomial coefficients of the interpolant, from the Lagrange basis.
 

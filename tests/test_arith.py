@@ -1,7 +1,8 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detmult.arith import (
     ConsistencyError,
@@ -18,6 +19,7 @@ from detmult.arith import (
 from oracles import (
     determinant_by_permutations,
     direct_power_sum,
+    horner_reference,
     lagrange_coefficients,
     pfaffian_by_expansion,
 )
@@ -198,6 +200,32 @@ def test_polynomial_equality_and_hash():
     assert RationalPolynomial((0, 1)) == X
     assert hash(RationalPolynomial((0, 1))) == hash(X)
     assert RationalPolynomial((0, 1)) != RationalPolynomial((0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=10**6), max_size=12),
+    x=st.one_of(st.integers(min_value=-10**6, max_value=10**6), st.fractions(max_denominator=10**4)),
+)
+@example(coeffs=[], x=7)  # the zero polynomial
+@example(coeffs=[], x=Fraction(-2, 3))
+@example(coeffs=[Fraction(0), Fraction(0)], x=Fraction(5, 4))
+@example(coeffs=[Fraction(-7, 3)], x=-4)  # a constant
+@example(coeffs=[Fraction(5, 2)], x=Fraction(-1, 9))
+@example(coeffs=[Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)], x=-5)
+@example(coeffs=[Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)], x=Fraction(-3, 10))
+def test_evaluation_matches_fraction_horner(coeffs, x):
+    value = RationalPolynomial(coeffs)(x)
+    assert type(value) is Fraction
+    assert value == horner_reference(coeffs, x)
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, Decimal("0.5"), "2", 1j])
+@pytest.mark.parametrize("coeffs", [(), (3,), (1, Fraction(1, 2))])
+def test_evaluation_accepts_only_int_and_fraction(coeffs, x):
+    # a float argument once gave a float back, silently leaving exact arithmetic
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RationalPolynomial(coeffs)(x)
 
 
 def test_concurrent_callers_see_pure_function_results():

@@ -38,3 +38,9 @@ def test_a_side_that_timed_out_gets_no_verdict():
     row = ladder.summarize("demo", {"base": [1.0, None], "change": [0.5, 0.6]}, 300)
     assert row["base"] == "over 300 s (not finished)"
     assert "speedup" not in row and "unresolved" not in row
+
+
+@pytest.mark.parametrize("row", [("demo", ["generic", 3, 1], "report"), ("demo", {"quick": True}, "checks")])
+def test_library_child_times_one_call(row):
+    seconds = ladder.measure(ladder.ROOT / "src", row, timeout=120)
+    assert 0 < seconds < 120

@@ -10,6 +10,7 @@ from detmult.partitions import (
     conjugate,
     contained_in,
     is_layer_index,
+    layer_level,
     maximal_minor_layers,
     normalize,
     part,
@@ -135,6 +136,43 @@ def test_is_layer_index_empty_family_rejected():
 def test_is_layer_index_negative_level_rejected():
     with pytest.raises(ValueError, match="level must be >= 0, got -1"):
         is_layer_index([(1,)], (1,), -1)
+
+
+def test_is_layer_index_checks_the_family_before_the_level():
+    with pytest.raises(ValueError, match="nonempty family"):
+        is_layer_index([], (1,), -1)
+
+
+def test_layer_level_examples():
+    family = box_partitions(4, 2, 2)  # the single partition (2, 2)
+    assert layer_level(family, (1, 1)) == 1
+    assert layer_level(family, ()) == 1  # c = 0: every member qualifies
+    assert layer_level(family, (1,)) == -1  # (1, 1) does not fit under (1,)
+    assert layer_level(family, (2, 2)) == -1  # no column past width 2
+    assert layer_level([(1,)], ()) == 0
+
+
+def test_layer_level_empty_family_rejected():
+    with pytest.raises(ValueError, match="nonempty family"):
+        layer_level([], (1,))
+
+
+def test_layer_level_matches_diagram_reference_at_every_level():
+    # the shapes of test_is_layer_index_matches_diagram_reference: the
+    # reference accepts (z, level) exactly at level = layer_level(z), if that
+    # level is >= 0
+    points = 0
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            for d in range(1, 7):
+                family = box_partitions(p * d, n, d)
+                for z in weakly_decreasing_tuples(n, d):
+                    found = layer_level(family, z)
+                    assert -1 <= found <= n - 1, (n, p, d, z, found)
+                    accepted = [lv for lv in range(n + 1) if is_layer_index_by_diagrams(family, z, lv)]
+                    assert accepted == ([found] if found >= 0 else []), (n, p, d, z, found)
+                    points += 1
+    assert points == 7_279
 
 
 def test_is_layer_index_matches_diagram_reference():

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 import detmult.arith
 import detmult.maximal_minors
 import detmult.multiplicities
+import detmult.partitions
 import detmult.pfaffians
 from detmult.verify import CheckResult, count_semistandard_tableaux, run_checks
 from oracles import count_ssyt_backtracking
@@ -129,3 +132,29 @@ def test_degree_check_compares_the_whole_pfaffian_set(monkeypatch):
         result = {c.name: c for c in run_checks(quick=quick)}["degree-parity-pfaffian"]
         assert not result.passed
         assert result.detail.startswith("expected [3, 5]"), result.detail
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_layer_level_off_by_one_fails_the_layer_check(monkeypatch, shift):
+    # the check reads each candidate's level from layer_level alone, so a
+    # level one off must disagree with the closed form at the first shape
+    real = detmult.partitions.layer_level
+    monkeypatch.setattr(detmult.partitions, "layer_level", lambda family, z: real(family, z) + shift)
+    result = {c.name: c for c in run_checks(quick=True)}["layer-definition-vs-closed-form"]
+    assert not result.passed
+    assert re.fullmatch(r"expected \[.*\], got \[.*\] at n=1, p=1, d=1", result.detail), result.detail
+
+
+def test_perturbed_polynomial_evaluation_fails_faulhaber(monkeypatch):
+    # the direct sums never go through RationalPolynomial.__call__, so a wrong
+    # value at one argument must show as a disagreement there
+    real = detmult.arith.RationalPolynomial.__call__
+
+    def perturbed(self, x):
+        value = real(self, x)
+        return value + 1 if x == 37 else value
+
+    monkeypatch.setattr(detmult.arith.RationalPolynomial, "__call__", perturbed)
+    result = {c.name: c for c in run_checks(quick=True)}["faulhaber-vs-direct-sum"]
+    assert not result.passed
+    assert result.detail == "expected 37, got 38 at p=0, b=37", result.detail

@@ -9,8 +9,9 @@ interpreter with ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile
 detmult from source in every process, as ``bench/run.py`` does on a fresh
 checkout, while the standard library keeps its installed bytecode.  The two
 sides alternate which goes first.
-Library rows time one call after import: ``build_report(family)``, or
-``slice_length`` at the k+2 nodes ``build_report`` evaluates.  CLI rows time
+Library rows time one call after import: ``build_report(family)``,
+``slice_length`` at the k+2 nodes ``build_report`` evaluates, or
+``verify.run_checks`` at one budget.  CLI rows time
 the whole ``python -m detmult.cli`` process, start-up included.  A side that
 exceeds --timeout on a row is not run on that row again.  The JSON record
 goes to stdout.
@@ -37,7 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (row name, family spec, mode): mode "report" or "nodes"; CLI rows carry argv.
+# (row name, spec, mode): mode "report" or "nodes" with a family spec, or
+# "checks" with run_checks keyword arguments; CLI rows carry argv.
 LIBRARY_ROWS = [
     ("build_report generic(5,3)", ["generic", 5, 3], "report"),
     ("build_report generic(8,4)", ["generic", 8, 4], "report"),
@@ -53,6 +55,10 @@ LIBRARY_ROWS = [
     ("pfaffian(6), nodes", ["pfaffian", 6], "nodes"),
     ("pfaffian(7), nodes", ["pfaffian", 7], "nodes"),
     ("pfaffian(10), nodes", ["pfaffian", 10], "nodes"),
+    ("run_checks()", {}, "checks"),
+    ("run_checks(quick=True)", {"quick": True}, "checks"),
+    ("run_checks(generic_max_m=12, pfaffian_max_n=4)",
+     {"generic_max_m": 12, "pfaffian_max_n": 4}, "checks"),
 ]
 CLI_ROWS = [
     ("CLI schur-dim --weight 9,7,5,3,1,0 --dim 8",
@@ -74,15 +80,20 @@ CLI_ROWS = [
 CHILD = """
 import json, sys, time
 from detmult import Family, build_report
+from detmult.verify import run_checks
 spec, mode = json.loads(sys.argv[1])
-family = getattr(Family, spec[0])(*spec[1:])
-t0 = time.perf_counter()
-if mode == "report":
-    build_report(family)
+if mode == "checks":
+    t0 = time.perf_counter()
+    run_checks(**spec)
 else:
-    d0 = family.first_finite_power
-    for d in range(d0, d0 + family.ring_dimension + 2):
-        family.slice_length(d)
+    family = getattr(Family, spec[0])(*spec[1:])
+    t0 = time.perf_counter()
+    if mode == "report":
+        build_report(family)
+    else:
+        d0 = family.first_finite_power
+        for d in range(d0, d0 + family.ring_dimension + 2):
+            family.slice_length(d)
 print(time.perf_counter() - t0)
 """
 
